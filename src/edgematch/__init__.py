@@ -12,14 +12,12 @@ from .basis import (
     Transform,
     enumerate_basis_pairs,
     find_compatible_pairs,
-    pair_quality,
 )
 from .edges import (
     Edge,
     EdgeSet,
     EdgeSetFormatError,
     SpatialIndex,
-    angular_distance,
     build_index,
     parse,
     query_near,
@@ -38,7 +36,6 @@ from .overlay import render_overlay
 from .probability import (
     ProbabilityParams,
     expected_trials,
-    miss_probability,
     miss_probability_general,
     monte_carlo_miss,
 )
@@ -88,7 +85,6 @@ __all__ = [
     "SpatialIndex",
     "Transform",
     "VerifyConfig",
-    "angular_distance",
     "build_index",
     "corrupt_and_transform",
     "count_coincidences",
@@ -101,10 +97,8 @@ __all__ = [
     "load_gallery",
     "load_pgm",
     "match",
-    "miss_probability",
     "miss_probability_general",
     "monte_carlo_miss",
-    "pair_quality",
     "parse",
     "query_near",
     "random_edge_set",

@@ -20,9 +20,8 @@ from .edges import (
     Edge,
     EdgeSet,
     SpatialIndex,
-    _query_near_arr,
-    angular_distance,
     angular_distance_array,
+    query_near,
 )
 
 _PI = math.pi
@@ -109,25 +108,6 @@ class HypothesisConfig:
 def _fold_half(d):
     """Map an angular distance in [0, pi] onto [0, pi/2] (mod-pi geometry)."""
     return np.minimum(d, _PI - d)
-
-
-def pair_quality(e1: Edge, e2: Edge, frame_diagonal: float) -> float:
-    """Quality of a candidate basis couple, in [0, 1].
-
-    The product of both confidences, a span term min(dist / (diag/2), 1),
-    and sin of the orientation separation folded mod pi.  Parallel or
-    antiparallel couples score zero: they leave the scale unconstrained
-    along one axis under jitter.
-    """
-    dx = e2.x - e1.x
-    dy = e2.y - e1.y
-    dist = math.sqrt(dx * dx + dy * dy)
-    if dist <= 0.0:
-        return 0.0
-    d = angular_distance(e1.theta, e2.theta)
-    sep = min(d, _PI - d)
-    span = min(dist / (frame_diagonal / 2.0), 1.0)
-    return e1.confidence * e2.confidence * span * math.sin(sep)
 
 
 _CHUNK_ROWS = 256
@@ -241,9 +221,7 @@ def find_compatible_pairs(
     for n1 in cand1:
         x1 = float(arr.x[n1])
         y1 = float(arr.y[n1])
-        cand2 = _query_near_arr(
-            probe_index, probe, x1, y1, radius, ref_e2.theta, cfg.eps_theta
-        )
+        cand2 = query_near(probe_index, probe, x1, y1, radius, ref_e2.theta, cfg.eps_theta)
         cand2 = cand2[cand2 != n1]
         if cand2.size == 0:
             continue

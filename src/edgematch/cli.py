@@ -37,7 +37,7 @@ def _apply_section(cls, overrides: dict, section: str):
         raise ConfigError(f"invalid config section {section!r}: {exc}") from None
 
 
-def _load_configs(path: str | None, seed: int | None):
+def _load_configs(path: str | None):
     doc = {}
     if path is not None:
         try:
@@ -54,8 +54,6 @@ def _load_configs(path: str | None, seed: int | None):
     extract_cfg = _apply_section(EdgeExtractionConfig, doc.get("extract", {}), "extract")
     hyp_cfg = _apply_section(HypothesisConfig, doc.get("hypothesis", {}), "hypothesis")
     ver_cfg = _apply_section(VerifyConfig, doc.get("verify", {}), "verify")
-    if seed is not None:
-        ver_cfg = dataclasses.replace(ver_cfg, seed=seed)
     return extract_cfg, hyp_cfg, ver_cfg
 
 
@@ -84,7 +82,7 @@ def _parse_edgeset_file(path: str):
 
 
 def cmd_extract(args) -> int:
-    extract_cfg, hyp_cfg, ver_cfg = _load_configs(args.config, args.seed)
+    extract_cfg, hyp_cfg, ver_cfg = _load_configs(args.config)
     _print_effective(args, extract_cfg, hyp_cfg, ver_cfg)
     try:
         data = Path(args.image).read_bytes()
@@ -98,7 +96,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_match(args) -> int:
-    extract_cfg, hyp_cfg, ver_cfg = _load_configs(args.config, args.seed)
+    extract_cfg, hyp_cfg, ver_cfg = _load_configs(args.config)
     _print_effective(args, extract_cfg, hyp_cfg, ver_cfg)
     ref = _parse_edgeset_file(args.ref)
     probe = _parse_edgeset_file(args.probe)
@@ -218,7 +216,7 @@ def cmd_gallery_enroll(args) -> int:
 
 
 def cmd_gallery_search(args) -> int:
-    extract_cfg, hyp_cfg, ver_cfg = _load_configs(args.config, args.seed)
+    extract_cfg, hyp_cfg, ver_cfg = _load_configs(args.config)
     _print_effective(args, extract_cfg, hyp_cfg, ver_cfg)
     gallery = load_gallery(args.root)
     probe = _parse_edgeset_file(args.probe)
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file with sections "
                         "extract / hypothesis / verify")
-    common.add_argument("--seed", type=int, default=None, help="override the seed")
     common.add_argument("--verbose", action="store_true",
                         help="print the effective configuration to stderr")
 
@@ -287,8 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter-pos", type=float, default=0.0)
     p.add_argument("--jitter-theta", type=float, default=0.0)
     p.add_argument("--clutter", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the reference set; the corruption uses seed + 1")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.set_defaults(func=cmd_synth, seed_default=0)
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mc", parents=[common],
                        help="Monte Carlo sweep of the basis-miss risk")
@@ -298,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, default=2, choices=(2, 3),
                    help="edges per basis couple")
     p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="seed of the simulated trials")
     p.add_argument("--out", help="output CSV path (stdout when omitted)")
-    p.set_defaults(func=cmd_mc, seed_default=0)
+    p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("gallery", help="enroll into or search a model gallery")
     gsub = p.add_subparsers(dest="gallery_command", required=True)
@@ -323,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = getattr(args, "seed_default", None)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:

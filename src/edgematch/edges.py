@@ -11,7 +11,8 @@ frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,24 +23,20 @@ EDGESET_VERSION = 1
 
 
 class EdgeSetFormatError(ValueError):
-    """Malformed EDGESET text or values violating the set invariants."""
+    """Malformed EDGESET text or values violating the set invariants.
 
-
-def angular_distance(a: float, b: float) -> float:
-    """Shortest angular distance between two orientations, in [0, pi].
-
-    Both arguments are angles in radians; the result is the length of the
-    shorter arc between them on the circle.
+    row is the index of the first offending edge when one edge is to blame.
     """
-    d = math.fmod(abs(a - b), TWO_PI)
-    return min(d, TWO_PI - d)
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 def angular_distance_array(a: np.ndarray, b) -> np.ndarray:
-    """Vectorized counterpart of :func:`angular_distance`.
+    """Shortest angular distance between orientations, in [0, pi].
 
-    Matches the scalar function bit for bit: fmod of the absolute difference,
-    then the shorter of the two arcs.
+    fmod of the absolute difference, then the shorter of the two arcs.
     """
     d = np.mod(np.abs(np.asarray(a, dtype=np.float64) - b), TWO_PI)
     return np.minimum(d, TWO_PI - d)
@@ -47,11 +44,12 @@ def angular_distance_array(a: np.ndarray, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Edge:
-    """A single oriented edge.
+    """A single oriented edge: one row of an :class:`EdgeSet`.
 
     theta is the tangent orientation in [0, 2*pi); kappa the signed isophote
     curvature in 1/pixels; confidence a detection strength in [0, 1];
-    reliable marks edges stable enough to seed basis hypotheses.
+    reliable marks edges stable enough to seed basis hypotheses.  The ranges
+    are checked when the edge enters an :class:`EdgeSet`.
     """
 
     x: float
@@ -60,16 +58,6 @@ class Edge:
     kappa: float = 0.0
     confidence: float = 1.0
     reliable: bool = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("edge position must be finite")
-        if not (0.0 <= self.theta < TWO_PI):
-            raise ValueError(f"theta must lie in [0, 2*pi), got {self.theta}")
-        if not math.isfinite(self.kappa):
-            raise ValueError("kappa must be finite")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
 
 
 class EdgeArrays(NamedTuple):
@@ -81,44 +69,91 @@ class EdgeArrays(NamedTuple):
     reliable: np.ndarray
 
 
-@dataclass
+class _EdgeRows(Sequence):
+    """Read-only row view of an edge set: one :class:`Edge` per index,
+    built on demand."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, columns: EdgeArrays):
+        self._c = columns
+
+    def __len__(self) -> int:
+        return len(self._c.x)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        c = self._c
+        return Edge(float(c.x[i]), float(c.y[i]), float(c.theta[i]),
+                    float(c.kappa[i]), float(c.confidence[i]), bool(c.reliable[i]))
+
+    def __iter__(self):
+        return map(Edge, *(col.tolist() for col in self._c))
+
+
 class EdgeSet:
     """An ordered collection of edges in a width x height pixel frame.
 
-    Treated as immutable after construction; the column-array view built by
-    :meth:`arrays` is cached on first use and shared by readers.
+    The edges are held as six validated columns (:class:`EdgeArrays`),
+    returned by :meth:`arrays`; :attr:`edges` views them as rows.  Build a
+    set from columns with :meth:`from_arrays`, or from :class:`Edge` rows
+    with ``EdgeSet(width, height, edges)``.  Treated as immutable.
     """
 
-    width: int
-    height: int
-    edges: list[Edge] = field(default_factory=list)
+    def __init__(self, width: int, height: int, edges: Iterable[Edge] = ()):
+        rows = list(edges)
+        cols = [[getattr(e, f) for e in rows] for f in EdgeArrays._fields]
+        self._assign(width, height, *cols)
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+    @classmethod
+    def from_arrays(cls, width: int, height: int, x, y, theta, kappa, confidence,
+                    reliable) -> "EdgeSet":
+        """A set over six equal-length columns, all rows checked at once: the
+        first row with a position outside the frame, theta outside [0, 2*pi),
+        a non-finite kappa or confidence outside [0, 1] raises
+        :class:`EdgeSetFormatError` naming it."""
+        es = cls.__new__(cls)
+        es._assign(width, height, x, y, theta, kappa, confidence, reliable)
+        return es
+
+    def _assign(self, width, height, x, y, theta, kappa, confidence, reliable) -> None:
+        if width < 1 or height < 1:
             raise ValueError("frame dimensions must be at least 1x1")
-        for k, e in enumerate(self.edges):
-            if not (0.0 <= e.x < self.width and 0.0 <= e.y < self.height):
-                raise ValueError(
-                    f"edge {k} at ({e.x}, {e.y}) outside "
-                    f"{self.width}x{self.height} frame"
-                )
-        self._cache: EdgeArrays | None = None
+        f64 = [np.array(v, dtype=np.float64) for v in (x, y, theta, kappa, confidence)]
+        c = EdgeArrays(*f64, np.array(reliable, dtype=bool))
+        if any(v.ndim != 1 or v.shape != c.x.shape for v in c):
+            raise ValueError("edge columns must be 1-D and of equal length")
+        # Each invariant as an accept mask, so that NaN fails every test.
+        checks = (
+            ((c.x >= 0.0) & (c.x < width) & (c.y >= 0.0) & (c.y < height),
+             "position ({x}, {y}) outside " f"{width}x{height} frame"),
+            ((c.theta >= 0.0) & (c.theta < TWO_PI), "theta {theta} outside [0, 2*pi)"),
+            (np.isfinite(c.kappa), "kappa {kappa} is not finite"),
+            ((c.confidence >= 0.0) & (c.confidence <= 1.0),
+             "confidence {confidence} outside [0, 1]"),
+        )
+        bad = ~np.logical_and.reduce([ok for ok, _ in checks])
+        if bad.any():
+            k = int(np.argmax(bad))
+            message = next(m for ok, m in checks if not ok[k])
+            row = {f: v[k] for f, v in zip(EdgeArrays._fields, c)}
+            raise EdgeSetFormatError(f"edge {k}: " + message.format(**row), k)
+        self.width = width
+        self.height = height
+        # The column store; the benchmark tracer reads it under this name.
+        self._cache = c
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self._cache.x)
 
     def arrays(self) -> EdgeArrays:
-        if self._cache is None:
-            es = self.edges
-            self._cache = EdgeArrays(
-                x=np.array([e.x for e in es], dtype=np.float64),
-                y=np.array([e.y for e in es], dtype=np.float64),
-                theta=np.array([e.theta for e in es], dtype=np.float64),
-                kappa=np.array([e.kappa for e in es], dtype=np.float64),
-                confidence=np.array([e.confidence for e in es], dtype=np.float64),
-                reliable=np.array([e.reliable for e in es], dtype=bool),
-            )
+        """The six columns, shared by every reader; do not modify them."""
         return self._cache
+
+    @property
+    def edges(self) -> Sequence[Edge]:
+        return _EdgeRows(self._cache)
 
     @property
     def frame_diagonal(self) -> float:
@@ -144,17 +179,18 @@ def serialize(es: EdgeSet) -> bytes:
     Float fields are written with 6 fractional digits, which quantizes the
     set onto that grid: parse(serialize(s)) re-serializes to identical bytes.
     """
-    lines = [f"EDGESET {EDGESET_VERSION}", f"{es.width} {es.height} {len(es.edges)}"]
-    for e in es.edges:
+    c = es.arrays()
+    lines = [f"EDGESET {EDGESET_VERSION}", f"{es.width} {es.height} {len(es)}"]
+    for x, y, theta, kappa, conf, reliable in zip(*(col.tolist() for col in c)):
         lines.append(
             " ".join(
                 (
-                    _fmt_position(e.x, es.width),
-                    _fmt_position(e.y, es.height),
-                    _fmt6(e.theta),
-                    _fmt6(e.kappa),
-                    _fmt6(e.confidence),
-                    "1" if e.reliable else "0",
+                    _fmt_position(x, es.width),
+                    _fmt_position(y, es.height),
+                    _fmt6(theta),
+                    _fmt6(kappa),
+                    _fmt6(conf),
+                    "1" if reliable else "0",
                 )
             )
         )
@@ -163,20 +199,17 @@ def serialize(es: EdgeSet) -> bytes:
 
 def _parse_float(token: str, what: str, lineno: int) -> float:
     try:
-        v = float(token)
+        return float(token)
     except ValueError:
         raise EdgeSetFormatError(f"line {lineno}: non-numeric {what} {token!r}") from None
-    if not math.isfinite(v):
-        raise EdgeSetFormatError(f"line {lineno}: non-finite {what} {token!r}")
-    return v
 
 
 def parse(data: bytes | str) -> EdgeSet:
     """Decode EDGESET v1 text into an :class:`EdgeSet`.
 
     Raises :class:`EdgeSetFormatError` with a distinct message for version
-    mismatches, malformed headers, wrong per-line field counts, out-of-range
-    values, and edge-count mismatches.
+    mismatches, malformed headers, wrong per-line field counts, non-numeric
+    fields, out-of-range values, and edge-count mismatches.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -211,27 +244,22 @@ def parse(data: bytes | str) -> EdgeSet:
     body = lines[2:]
     if len(body) != count:
         raise EdgeSetFormatError(f"header declares {count} edges, file has {len(body)} lines")
-    edges = []
+    rows = []
     for k, line in enumerate(body):
         lineno = k + 3
         fields = line.split()
         if len(fields) != 6:
             raise EdgeSetFormatError(f"line {lineno}: expected 6 fields, got {len(fields)}")
-        x = _parse_float(fields[0], "x", lineno)
-        y = _parse_float(fields[1], "y", lineno)
-        theta = _parse_float(fields[2], "theta", lineno)
-        kappa = _parse_float(fields[3], "kappa", lineno)
-        conf = _parse_float(fields[4], "confidence", lineno)
+        row = [_parse_float(t, what, lineno)
+               for t, what in zip(fields, ("x", "y", "theta", "kappa", "confidence"))]
         if fields[5] not in ("0", "1"):
             raise EdgeSetFormatError(f"line {lineno}: reliable flag must be 0 or 1")
-        if not (0.0 <= theta < TWO_PI):
-            raise EdgeSetFormatError(f"line {lineno}: theta {theta} outside [0, 2*pi)")
-        if not (0.0 <= conf <= 1.0):
-            raise EdgeSetFormatError(f"line {lineno}: confidence {conf} outside [0, 1]")
-        if not (0.0 <= x < width and 0.0 <= y < height):
-            raise EdgeSetFormatError(f"line {lineno}: position ({x}, {y}) outside frame")
-        edges.append(Edge(x, y, theta, kappa, conf, fields[5] == "1"))
-    return EdgeSet(width, height, edges)
+        rows.append(row + [fields[5] == "1"])
+    try:
+        return EdgeSet.from_arrays(width, height, *np.array(rows).reshape(count, 6).T)
+    except EdgeSetFormatError as exc:
+        # Edge k sits on line k + 3.
+        raise EdgeSetFormatError(f"line {exc.row + 3}: {exc}", exc.row) from None
 
 
 @dataclass
@@ -251,11 +279,10 @@ def build_index(es: EdgeSet, cell_size: float) -> SpatialIndex:
         raise ValueError("cell_size must be positive and finite")
     arr = es.arrays()
     grouped: dict[tuple[int, int], list[int]] = {}
-    if len(es) > 0:
-        cx = np.floor(arr.x / cell_size).astype(np.int64)
-        cy = np.floor(arr.y / cell_size).astype(np.int64)
-        for i in range(len(es)):
-            grouped.setdefault((int(cx[i]), int(cy[i])), []).append(i)
+    cx = np.floor(arr.x / cell_size).astype(np.int64)
+    cy = np.floor(arr.y / cell_size).astype(np.int64)
+    for i in range(len(es)):
+        grouped.setdefault((int(cx[i]), int(cy[i])), []).append(i)
     buckets = {c: np.array(ix, dtype=np.int64) for c, ix in grouped.items()}
     return SpatialIndex(cell_size=cell_size, buckets=buckets)
 
@@ -285,7 +312,7 @@ def _gather_candidates(index: SpatialIndex, x: float, y: float, radius: float) -
     return np.concatenate(parts)
 
 
-def _query_near_arr(
+def query_near(
     index: SpatialIndex,
     es: EdgeSet,
     x: float,
@@ -294,6 +321,14 @@ def _query_near_arr(
     theta: float,
     eps_theta: float,
 ) -> np.ndarray:
+    """Indices of edges within `radius` of (x, y) and within `eps_theta` of
+    `theta`, as an ascending int64 array.
+
+    The distance predicate is evaluated as dx*dx + dy*dy <= radius*radius;
+    results are identical to a full scan applying the same tests.
+    """
+    if radius < 0.0:
+        raise ValueError("radius must be non-negative")
     cand = _gather_candidates(index, x, y, radius)
     if cand.size == 0:
         return cand
@@ -304,23 +339,3 @@ def _query_near_arr(
         angular_distance_array(arr.theta[cand], theta) <= eps_theta
     )
     return np.sort(cand[ok])
-
-
-def query_near(
-    index: SpatialIndex,
-    es: EdgeSet,
-    x: float,
-    y: float,
-    radius: float,
-    theta: float,
-    eps_theta: float,
-) -> list[int]:
-    """Indices of edges within `radius` of (x, y) and within `eps_theta` of
-    `theta`, in ascending index order.
-
-    The distance predicate is evaluated as dx*dx + dy*dy <= radius*radius;
-    results are identical to a full scan applying the same tests.
-    """
-    if radius < 0.0:
-        raise ValueError("radius must be non-negative")
-    return [int(i) for i in _query_near_arr(index, es, x, y, radius, theta, eps_theta)]

@@ -39,8 +39,16 @@ def render_overlay(ref: EdgeSet, probe: EdgeSet, result: MatchResult) -> str:
 
     Probe edges are mapped by the result transform (identity when the match
     carries none).  Six-pixel segments along each orientation; coordinates
-    are in the reference frame.
+    are in the reference frame.  Raises ValueError when a matched pair or
+    the basis names an edge index outside either set.
     """
+    index_pairs = list(result.matched_pairs)
+    if result.basis is not None:
+        index_pairs += zip(*result.basis)
+    for a, n in index_pairs:
+        if not (0 <= a < len(ref) and 0 <= n < len(probe)):
+            raise ValueError(f"match result index pair ({a}, {n}) outside the "
+                             f"{len(ref)} reference and {len(probe)} probe edges")
     t = result.transform if result.transform is not None else Transform(1.0, 0.0, 0.0)
     w, h = ref.width, ref.height
     lines = [
@@ -49,21 +57,23 @@ def render_overlay(ref: EdgeSet, probe: EdgeSet, result: MatchResult) -> str:
         f"<style>\n{_STYLE}</style>",
         f'<rect class="frame" x="0" y="0" width="{w}" height="{h}" />',
     ]
+    ra, pa = ref.arrays(), probe.arrays()
+    ref_x, ref_y, ref_theta = ra.x.tolist(), ra.y.tolist(), ra.theta.tolist()
+    probe_theta = pa.theta.tolist()
+    mapped = [t.apply(x, y) for x, y in zip(pa.x.tolist(), pa.y.tolist())]
     lines.append('<g class="ref">')
-    for e in ref.edges:
-        lines.append(_segment(e.x, e.y, e.theta))
+    for x, y, theta in zip(ref_x, ref_y, ref_theta):
+        lines.append(_segment(x, y, theta))
     lines.append("</g>")
     lines.append('<g class="probe">')
-    mapped = [t.apply(e.x, e.y) for e in probe.edges]
-    for (mx, my), e in zip(mapped, probe.edges):
-        lines.append(_segment(mx, my, e.theta))
+    for (mx, my), theta in zip(mapped, probe_theta):
+        lines.append(_segment(mx, my, theta))
     lines.append("</g>")
     lines.append('<g class="matched">')
     for a, n in result.matched_pairs:
-        ea = ref.edges[a]
         mx, my = mapped[n]
         lines.append(
-            f'<line x1="{_fmt(ea.x)}" y1="{_fmt(ea.y)}" '
+            f'<line x1="{_fmt(ref_x[a])}" y1="{_fmt(ref_y[a])}" '
             f'x2="{_fmt(mx)}" y2="{_fmt(my)}" />'
         )
     lines.append("</g>")
@@ -71,11 +81,10 @@ def render_overlay(ref: EdgeSet, probe: EdgeSet, result: MatchResult) -> str:
         (ai, aj), (ni, nj) = result.basis
         lines.append('<g class="basis">')
         for a in (ai, aj):
-            ea = ref.edges[a]
-            lines.append(_segment(ea.x, ea.y, ea.theta))
+            lines.append(_segment(ref_x[a], ref_y[a], ref_theta[a]))
         for n in (ni, nj):
             mx, my = mapped[n]
-            lines.append(_segment(mx, my, probe.edges[n].theta))
+            lines.append(_segment(mx, my, probe_theta[n]))
         lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -34,13 +34,9 @@ class ProbabilityParams:
             raise ValueError("m must be non-negative")
 
 
-def miss_probability(params: ProbabilityParams) -> float:
-    """Probability that every one of the m couples has a missing edge."""
-    return (1.0 - (1.0 - params.p) ** 2) ** params.m
-
-
 def miss_probability_general(p: float, m: int, edges_per_couple: int = 2) -> float:
-    """Same risk for couples of k edges: [1 - (1-p)^k]^m.
+    """Probability that every one of m couples of k edges has a missing
+    edge: [1 - (1-p)^k]^m.
 
     k = 3 models bases built from three edges; a larger k makes each couple
     easier to lose, so the miss risk grows and the expected number of trials

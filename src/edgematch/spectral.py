@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import TWO_PI, Edge, EdgeSet
+from .edges import TWO_PI, EdgeSet
 from .image_io import GrayImage
 
 # Gradient magnitudes below this are treated as flat: no orientation, no
@@ -187,7 +187,7 @@ def extract_edges(img: GrayImage, cfg: EdgeExtractionConfig | None = None) -> Ed
     h, w = mag.shape
     mag_max = float(mag.max())
     if mag_max <= DEGENERATE_GRADIENT:
-        return EdgeSet(width=w, height=h, edges=[])
+        return EdgeSet(w, h)
 
     safe = np.where(mag > 0.0, mag, 1.0)
     dirx = gx / safe
@@ -224,22 +224,19 @@ def extract_edges(img: GrayImage, cfg: EdgeExtractionConfig | None = None) -> Ed
     confidence = mag / mag_max
     reliable = np.abs(kappa) <= cfg.curvature_max
 
-    edges = []
     ys_k, xs_k = np.nonzero(keep)
-    for py, px in zip(ys_k, xs_k):
-        d = delta[py, px]
-        ex = px + d * dirx[py, px]
-        ey = py + d * diry[py, px]
-        if not (0.0 <= ex < w and 0.0 <= ey < h):
-            continue
-        edges.append(
-            Edge(
-                x=float(ex),
-                y=float(ey),
-                theta=float(theta[py, px]),
-                kappa=float(kappa[py, px]),
-                confidence=float(confidence[py, px]),
-                reliable=bool(reliable[py, px]),
-            )
-        )
-    return EdgeSet(width=w, height=h, edges=edges)
+    d = delta[ys_k, xs_k]
+    ex = xs_k + d * dirx[ys_k, xs_k]
+    ey = ys_k + d * diry[ys_k, xs_k]
+    inside = (ex >= 0.0) & (ex < w) & (ey >= 0.0) & (ey < h)
+    ys_k, xs_k = ys_k[inside], xs_k[inside]
+    return EdgeSet.from_arrays(
+        w,
+        h,
+        ex[inside],
+        ey[inside],
+        theta[ys_k, xs_k],
+        kappa[ys_k, xs_k],
+        confidence[ys_k, xs_k],
+        reliable[ys_k, xs_k],
+    )

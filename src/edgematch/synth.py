@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Transform
-from .edges import TWO_PI, Edge, EdgeSet
+from .edges import TWO_PI, EdgeSet
 from .image_io import GrayImage
 
 
@@ -55,12 +55,8 @@ def random_edge_set(n: int, width: int, height: int, seed: int = 0) -> EdgeSet:
     theta = rng.uniform(0.0, TWO_PI, n)
     theta[theta >= TWO_PI] = 0.0
     conf = np.minimum(rng.uniform(0.5, 1.0, n), 1.0)
-    edges = [
-        Edge(x=float(x[i]), y=float(y[i]), theta=float(theta[i]), kappa=0.0,
-             confidence=float(conf[i]), reliable=True)
-        for i in range(n)
-    ]
-    return EdgeSet(width=width, height=height, edges=edges)
+    return EdgeSet.from_arrays(width, height, x, y, theta, np.zeros(n), conf,
+                               np.ones(n, dtype=bool))
 
 
 def corrupt_and_transform(
@@ -98,32 +94,24 @@ def corrupt_and_transform(
     theta[theta >= TWO_PI] = 0.0
     keep = (~drop) & (px >= 0.0) & (px < out_width) & (py >= 0.0) & (py < out_height)
 
-    edges = [
-        Edge(
-            x=float(px[i]),
-            y=float(py[i]),
-            theta=float(theta[i]),
-            kappa=float(arr.kappa[i]),
-            confidence=float(arr.confidence[i]),
-            reliable=bool(arr.reliable[i]),
-        )
-        for i in np.nonzero(keep)[0]
-    ]
-    n_clutter = int(math.floor(spec.clutter_frac * len(edges) + 0.5))
-    if n_clutter > 0:
-        cx = np.minimum(rng.uniform(0.0, out_width, n_clutter),
-                        np.nextafter(float(out_width), 0.0))
-        cy = np.minimum(rng.uniform(0.0, out_height, n_clutter),
-                        np.nextafter(float(out_height), 0.0))
-        ct = rng.uniform(0.0, TWO_PI, n_clutter)
-        ct[ct >= TWO_PI] = 0.0
-        cc = np.minimum(rng.uniform(0.5, 1.0, n_clutter), 1.0)
-        for i in range(n_clutter):
-            edges.append(
-                Edge(x=float(cx[i]), y=float(cy[i]), theta=float(ct[i]), kappa=0.0,
-                     confidence=float(cc[i]), reliable=True)
-            )
-    return EdgeSet(width=out_width, height=out_height, edges=edges)
+    n_clutter = int(math.floor(spec.clutter_frac * int(keep.sum()) + 0.5))
+    cx = np.minimum(rng.uniform(0.0, out_width, n_clutter),
+                    np.nextafter(float(out_width), 0.0))
+    cy = np.minimum(rng.uniform(0.0, out_height, n_clutter),
+                    np.nextafter(float(out_height), 0.0))
+    ct = rng.uniform(0.0, TWO_PI, n_clutter)
+    ct[ct >= TWO_PI] = 0.0
+    cc = np.minimum(rng.uniform(0.5, 1.0, n_clutter), 1.0)
+    return EdgeSet.from_arrays(
+        out_width,
+        out_height,
+        np.concatenate((px[keep], cx)),
+        np.concatenate((py[keep], cy)),
+        np.concatenate((theta[keep], ct)),
+        np.concatenate((arr.kappa[keep], np.zeros(n_clutter))),
+        np.concatenate((arr.confidence[keep], cc)),
+        np.concatenate((arr.reliable[keep], np.ones(n_clutter, dtype=bool))),
+    )
 
 
 @dataclass(frozen=True)

@@ -16,28 +16,24 @@ inherits their jitter, while the refit averages it over every coincidence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import (
-    BasisPair,
     HypothesisConfig,
     Transform,
     enumerate_basis_pairs,
     find_compatible_pairs,
 )
-from .edges import EdgeSet, SpatialIndex, _query_near_arr, build_index
+from .edges import EdgeSet, SpatialIndex, build_index, query_near
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
     """Verification tolerances and budgets.
 
-    eps_pos is measured in reference-frame pixels.  seed is carried for
-    interface stability; the implementation is fully deterministic and does
-    not consume randomness.
+    eps_pos is measured in reference-frame pixels.
     """
 
     eps_pos: float = 3.0
@@ -47,7 +43,6 @@ class VerifyConfig:
     prune_threshold: float = 0.3
     accept_score: float = 0.4
     max_branches: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if self.eps_pos <= 0.0 or self.eps_theta <= 0.0:
@@ -106,24 +101,48 @@ class MatchResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MatchResult":
+        """Inverse of :meth:`to_json_dict`.
+
+        Raises ValueError when the version is not 1 or a field is missing or
+        of the wrong type.
+        """
+        if not isinstance(d, dict):
+            raise ValueError("match result must be a JSON object")
         if d.get("version") != 1:
             raise ValueError(f"unsupported match result version {d.get('version')!r}")
-        t = d.get("transform")
-        b = d.get("basis")
+        t = _field(d, "transform", (dict, type(None)))
+        b = _field(d, "basis", (dict, type(None)))
+        pairs = _field(d, "matched_pairs", (list,))
         return cls(
-            decided=bool(d["decided"]),
-            score=float(d["score"]),
-            transform=Transform(s=t["s"], tx=t["tx"], ty=t["ty"]) if t else None,
-            matched_pairs=[(int(a), int(n)) for a, n in d.get("matched_pairs", [])],
-            counts=tuple(int(c) for c in d.get("counts", (0, 0, 0))),
-            branches_tried=int(d.get("branches_tried", 0)),
-            confidence=float(d.get("confidence", 0.0)),
-            basis=(
-                ((int(b["ref"][0]), int(b["ref"][1])), (int(b["probe"][0]), int(b["probe"][1])))
-                if b
-                else None
-            ),
+            decided=_field(d, "decided", (bool,)),
+            score=float(_field(d, "score", _NUMBER)),
+            transform=Transform(*(_field(t, k, _NUMBER) for k in ("s", "tx", "ty"))) if t else None,
+            matched_pairs=[_indices(p, 2, "matched_pairs") for p in pairs],
+            counts=_indices(_field(d, "counts", (list,)), 3, "counts"),
+            branches_tried=_field(d, "branches_tried", (int,)),
+            confidence=float(_field(d, "confidence", _NUMBER)),
+            basis=tuple(_indices(b.get(k), 2, "basis") for k in ("ref", "probe")) if b else None,
         )
+
+
+_NUMBER = (int, float)
+
+
+def _field(d: dict, name: str, kinds: tuple):
+    if name not in d:
+        raise ValueError(f"match result lacks field {name!r}")
+    v = d[name]
+    # JSON true and false load as bool, a subclass of int.
+    if not isinstance(v, kinds) or (isinstance(v, bool) and bool not in kinds):
+        raise ValueError(f"match result field {name!r} has the wrong type: {v!r}")
+    return v
+
+
+def _indices(v, n: int, name: str) -> tuple[int, ...]:
+    if not (isinstance(v, list) and len(v) == n
+            and all(isinstance(i, int) and not isinstance(i, bool) for i in v)):
+        raise ValueError(f"match result field {name!r} needs lists of {n} integers, got {v!r}")
+    return tuple(v)
 
 
 def _mapped_positions(probe: EdgeSet, transform: Transform):
@@ -131,8 +150,7 @@ def _mapped_positions(probe: EdgeSet, transform: Transform):
     return transform.s * arr.x + transform.tx, transform.s * arr.y + transform.ty
 
 
-def _visible_mask(ref: EdgeSet, probe: EdgeSet, transform: Transform) -> np.ndarray:
-    mx, my = _mapped_positions(probe, transform)
+def _visible_mask(ref: EdgeSet, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
     return (mx >= 0.0) & (mx < ref.width) & (my >= 0.0) & (my < ref.height)
 
 
@@ -158,23 +176,18 @@ def count_coincidences(
         cfg = VerifyConfig()
     arr_n = probe.arrays()
     arr_a = ref.arrays()
-    n_probe = len(probe)
-    mx, my = (np.empty(0),) * 2 if n_probe == 0 else _mapped_positions(probe, transform)
-    if n_probe == 0:
-        visible = np.zeros(0, dtype=bool)
-    else:
-        visible = (mx >= 0.0) & (mx < ref.width) & (my >= 0.0) & (my < ref.height)
+    mx, my = _mapped_positions(probe, transform)
+    visible = _visible_mask(ref, mx, my)
     n_visible = int(visible.sum())
     denominator = len(ref) + n_visible
     if denominator == 0:
         return [], 0.0
-    order = np.lexsort((np.arange(n_probe), -arr_n.confidence))
+    order = np.lexsort((np.arange(len(probe)), -arr_n.confidence))
     order = order[visible[order]]
     claimed = np.zeros(len(ref), dtype=bool)
     pairs: list[tuple[int, int]] = []
-    eps2 = cfg.eps_pos * cfg.eps_pos
     for n in order:
-        cand = _query_near_arr(
+        cand = query_near(
             ref_index, ref, float(mx[n]), float(my[n]), cfg.eps_pos,
             float(arr_n.theta[n]), cfg.eps_theta,
         )
@@ -183,12 +196,7 @@ def count_coincidences(
             continue
         dx = arr_a.x[cand] - mx[n]
         dy = arr_a.y[cand] - my[n]
-        d2 = dx * dx + dy * dy
-        ok = d2 <= eps2
-        if not ok.any():
-            continue
-        cand, d2 = cand[ok], d2[ok]
-        a = int(cand[int(np.argmin(d2))])
+        a = int(cand[int(np.argmin(dx * dx + dy * dy))])
         claimed[a] = True
         pairs.append((a, int(n)))
     score = 2.0 * len(pairs) / denominator
@@ -221,7 +229,7 @@ def sequential_verify(
     radius = cfg.eps_pos / transform.s
     for a in order:
         px, py = transform.invert(float(arr_a.x[a]), float(arr_a.y[a]))
-        hits = _query_near_arr(
+        hits = query_near(
             probe_index, probe, px, py, radius, float(arr_a.theta[a]), cfg.eps_theta
         )
         if hits.size == 0:
@@ -289,13 +297,13 @@ def match(
     if ver_cfg is None:
         ver_cfg = VerifyConfig()
     bases = enumerate_basis_pairs(ref, hyp_cfg)
-    probe_index = build_index(probe, ver_cfg.eps_pos) if len(probe) else None
-    ref_index = build_index(ref, ver_cfg.eps_pos) if len(ref) else None
+    probe_index = build_index(probe, ver_cfg.eps_pos)
+    ref_index = build_index(ref, ver_cfg.eps_pos)
     branches = 0
     best = None
     done = False
     for bp in bases:
-        if done or branches >= ver_cfg.max_branches or probe_index is None:
+        if done or branches >= ver_cfg.max_branches:
             break
         e1 = ref.edges[bp.i]
         e2 = ref.edges[bp.j]
@@ -334,7 +342,7 @@ def match(
             basis=None,
         )
     score, transform, pairs, confidence, bp, n_pair = best
-    n_visible = int(_visible_mask(ref, probe, transform).sum()) if len(probe) else 0
+    n_visible = int(_visible_mask(ref, *_mapped_positions(probe, transform)).sum())
     return MatchResult(
         decided=score >= ver_cfg.accept_score,
         score=score,

@@ -13,6 +13,14 @@ TWO_PI = 2.0 * math.pi
 PI = math.pi
 
 
+def angular_distance(a: float, b: float) -> float:
+    """Shortest angular distance between two orientations, in [0, pi]: fmod
+    of the absolute difference, then the shorter arc.  The scalar reference
+    for edgematch.edges.angular_distance_array."""
+    d = math.fmod(abs(a - b), TWO_PI)
+    return min(d, TWO_PI - d)
+
+
 def oracle_angular(a: float, b: float) -> float:
     """Shorter arc between two angles, computed via plain modulo."""
     d = abs(a - b) % TWO_PI
@@ -57,13 +65,14 @@ def oracle_basis_pairs(es, cfg):
     diag = math.sqrt(es.width * es.width + es.height * es.height)
     min_dist = cfg.min_dist if cfg.min_dist is not None else 0.15 * diag
     rows = []
-    n = len(es.edges)
+    edges = list(es.edges)
+    n = len(edges)
     for i in range(n):
-        e1 = es.edges[i]
+        e1 = edges[i]
         if not e1.reliable:
             continue
         for j in range(i + 1, n):
-            e2 = es.edges[j]
+            e2 = edges[j]
             if not e2.reliable:
                 continue
             dx = e2.x - e1.x
@@ -90,15 +99,16 @@ def oracle_basis_pairs(es, cfg):
 def oracle_compatible_pairs(probe, basis_phi, basis_dist, ref_e1, ref_e2, cfg):
     """O(n^2) scalar search for probe couples compatible with one basis."""
     rows = []
-    n = len(probe.edges)
+    edges = list(probe.edges)
+    n = len(edges)
     for n1 in range(n):
-        g1 = probe.edges[n1]
+        g1 = edges[n1]
         if oracle_angular(g1.theta, ref_e1.theta) > cfg.eps_theta:
             continue
         for n2 in range(n):
             if n2 == n1:
                 continue
-            g2 = probe.edges[n2]
+            g2 = edges[n2]
             if oracle_angular(g2.theta, ref_e2.theta) > cfg.eps_theta:
                 continue
             dx = g2.x - g1.x
@@ -126,19 +136,21 @@ def oracle_compatible_pairs(probe, basis_phi, basis_dist, ref_e1, ref_e2, cfg):
 
 def oracle_coincidences(ref, probe, transform, eps_pos, eps_theta):
     """Scalar greedy one-to-one matching, highest probe confidence first."""
-    order = sorted(range(len(probe.edges)), key=lambda i: (-probe.edges[i].confidence, i))
+    probe_edges = list(probe.edges)
+    ref_edges = list(ref.edges)
+    order = sorted(range(len(probe_edges)), key=lambda i: (-probe_edges[i].confidence, i))
     claimed = set()
     pairs = []
     visible = 0
     for nidx in order:
-        e = probe.edges[nidx]
+        e = probe_edges[nidx]
         mx = transform.s * e.x + transform.tx
         my = transform.s * e.y + transform.ty
         if not (0.0 <= mx < ref.width and 0.0 <= my < ref.height):
             continue
         visible += 1
         best = None
-        for aidx, a in enumerate(ref.edges):
+        for aidx, a in enumerate(ref_edges):
             if aidx in claimed:
                 continue
             dx = a.x - mx
@@ -150,6 +162,6 @@ def oracle_coincidences(ref, probe, transform, eps_pos, eps_theta):
         if best is not None:
             claimed.add(best[1])
             pairs.append((best[1], nidx))
-    denom = len(ref.edges) + visible
+    denom = len(ref_edges) + visible
     score = 2.0 * len(pairs) / denom if denom else 0.0
     return pairs, score

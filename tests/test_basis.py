@@ -14,7 +14,6 @@ from edgematch import (
     build_index,
     enumerate_basis_pairs,
     find_compatible_pairs,
-    pair_quality,
 )
 from edgematch.edges import TWO_PI
 
@@ -90,36 +89,38 @@ def test_hypothesis_config_validation():
 # ------------------------------------------------------------ pair quality
 
 
+# The loosest admissible gates, so that only zero-quality couples drop out.
+ANY_COUPLE = HypothesisConfig(min_dist=1e-9, min_sep_angle=1e-6, max_basis_a=1000)
+
+
 def test_pair_quality_perfect_couple_scores_one():
     # confidence 1, orthogonal orientations, separation exactly half the diagonal
-    e1 = Edge(0.0, 0.0, 0.0, confidence=1.0)
-    e2 = Edge(32.0, 32.0, 0.5 * math.pi, confidence=1.0)
-    diag = math.sqrt(64.0 * 64.0 + 64.0 * 64.0)
-    assert pair_quality(e1, e2, diag) == 1.0
+    es = EdgeSet(64, 64, (Edge(0.0, 0.0, 0.0), Edge(32.0, 32.0, 0.5 * math.pi)))
+    (basis,) = enumerate_basis_pairs(es)
+    assert basis.quality == 1.0
 
 
 def test_pair_quality_parallel_couple_scores_zero():
     e1 = Edge(10.0, 10.0, 0.3)
-    e2 = Edge(50.0, 10.0, 0.3)
-    assert pair_quality(e1, e2, 90.0) == 0.0
-    anti = Edge(50.0, 10.0, 0.3 + math.pi)
-    assert pair_quality(e1, anti, 90.0) == pytest.approx(0.0, abs=1e-15)
+    for e2 in (Edge(50.0, 10.0, 0.3), Edge(50.0, 10.0, 0.3 + math.pi)):
+        assert oracle_pair_quality(e1, e2, 90.0) == pytest.approx(0.0, abs=1e-15)
+        assert enumerate_basis_pairs(EdgeSet(90, 90, (e1, e2)), ANY_COUPLE) == []
 
 
 def test_pair_quality_coincident_scores_zero():
-    e = Edge(10.0, 10.0, 0.3)
-    assert pair_quality(e, Edge(10.0, 10.0, 1.3), 90.0) == 0.0
+    e1, e2 = Edge(10.0, 10.0, 0.3), Edge(10.0, 10.0, 1.3)
+    assert oracle_pair_quality(e1, e2, 90.0) == 0.0
+    assert enumerate_basis_pairs(EdgeSet(90, 90, (e1, e2)), ANY_COUPLE) == []
 
 
 @given(edge_rows)
 def test_pair_quality_matches_oracle_and_range(rows):
     es = make_set(rows)
+    edges = list(es.edges)
     diag = math.hypot(200.0, 200.0)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            q = pair_quality(es.edges[i], es.edges[j], diag)
-            assert q == oracle_pair_quality(es.edges[i], es.edges[j], diag)
-            assert 0.0 <= q <= 1.0 + 1e-12
+    for b in enumerate_basis_pairs(es, ANY_COUPLE):
+        assert b.quality == oracle_pair_quality(edges[b.i], edges[b.j], diag)
+        assert 0.0 < b.quality <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------------ enumeration

@@ -93,9 +93,12 @@ def test_garbage_edgeset_is_a_clean_error(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_with_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["match", "--nope"])
-    assert exc.value.code == 2
+    # --seed belongs to synth and mc only: nothing else draws random numbers.
+    for argv in (["match", "--nope"],
+                 ["match", "--ref", "a.edgeset", "--probe", "b.edgeset", "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -181,6 +184,30 @@ def test_overlay_renders_svg(self_pair, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: {"version": 1},
+        lambda doc: {**doc, "matched_pairs": [[999, 0]]},
+        lambda doc: {**doc, "matched_pairs": [[-1, 0]]},
+        lambda doc: {**doc, "decided": "yes"},
+        lambda doc: {**doc, "basis": {"ref": [0, 1], "probe": [0, 200]}},
+    ],
+    ids=["fields-missing", "pair-index-too-large", "pair-index-negative",
+         "field-mistyped", "basis-index-too-large"],
+)
+def test_overlay_rejects_malformed_result(self_pair, tmp_path, capsys, edit):
+    ref, probe = self_pair
+    result = tmp_path / "result.json"
+    main(["match", "--ref", ref, "--probe", probe, "--out", str(result)])
+    result.write_text(json.dumps(edit(json.loads(result.read_text()))))
+    svg_path = tmp_path / "overlay.svg"
+    rc = main(["overlay", ref, probe, str(result), "--out", str(svg_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not svg_path.exists()
+
+
 # ----------------------------------------------------------------- gallery
 
 
@@ -231,10 +258,11 @@ def test_config_file_overrides_are_applied(self_pair, tmp_path, capsys):
 def test_config_rejects_unknown_key(self_pair, tmp_path, capsys):
     ref, probe = self_pair
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"verify": {"acceptance": 0.5}}))
-    rc = main(["match", "--ref", ref, "--probe", probe, "--config", str(cfg)])
-    assert rc == 2
-    assert "unknown key" in capsys.readouterr().err
+    for section in ({"acceptance": 0.5}, {"seed": 0}):
+        cfg.write_text(json.dumps({"verify": section}))
+        rc = main(["match", "--ref", ref, "--probe", probe, "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_section(self_pair, tmp_path, capsys):

@@ -9,7 +9,6 @@ from edgematch import (
     Edge,
     EdgeSet,
     EdgeSetFormatError,
-    angular_distance,
     build_index,
     parse,
     query_near,
@@ -17,7 +16,7 @@ from edgematch import (
 )
 from edgematch.edges import TWO_PI, angular_distance_array
 
-from helpers import oracle_angular, oracle_query
+from helpers import angular_distance, oracle_angular, oracle_query
 
 angles = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
 
@@ -79,6 +78,8 @@ def test_parse_preserves_frame_and_count():
         (b"EDGESET 1\n4 4 1\n1 1 0 0 1.5 1\n", "confidence"),
         (b"EDGESET 1\n4 4 1\n9 1 0 0 1 1\n", "frame"),
         (b"EDGESET 1\n4 4 1\n1 1 0 0 1 2\n", "reliable"),
+        (b"EDGESET 1\n4 4 2\n1 1 0 0 1 1\n1 1 7.0 0 1 1\n", "line 4: edge 1: theta"),
+        (b"EDGESET 1\n4 4 1\n1 1 0 nan 1 1\n", "kappa"),
     ],
 )
 def test_parse_rejects_malformed(data, fragment):
@@ -87,15 +88,38 @@ def test_parse_rejects_malformed(data, fragment):
     assert fragment in str(err.value)
 
 
+def columns(rows):
+    """Six column arrays from (x, y, theta, kappa, confidence, reliable) rows."""
+    return [np.array(col) for col in zip(*rows)]
+
+
+GOOD_ROW = (1.0, 1.0, 0.5, 0.0, 1.0, True)
+
+
 def test_edge_field_validation():
-    with pytest.raises(ValueError):
-        Edge(1.0, 1.0, 7.0)
-    with pytest.raises(ValueError):
-        Edge(1.0, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        Edge(1.0, 1.0, 0.0, confidence=1.5)
-    with pytest.raises(ValueError):
-        Edge(math.nan, 1.0, 0.0)
+    for bad, fragment in (
+        (Edge(1.0, 1.0, 7.0), "theta"),
+        (Edge(1.0, 1.0, -0.1), "theta"),
+        (Edge(1.0, 1.0, 0.0, confidence=1.5), "confidence"),
+        (Edge(math.nan, 1.0, 0.0), "position"),
+        (Edge(1.0, 1.0, 0.0, kappa=math.inf), "kappa"),
+    ):
+        with pytest.raises(ValueError, match=fragment):
+            EdgeSet(64, 64, (bad,))
+    # The column constructor checks every row at once and names the first
+    # offending one; NaN fails every range test.
+    for bad, fragment in (
+        ((1.0, 1.0, math.nan, 0.0, 1.0, True), "theta"),
+        ((1.0, 1.0, 0.5, 0.0, math.nan, True), "confidence"),
+        ((math.inf, 1.0, 0.5, 0.0, 1.0, True), "position"),
+        ((1.0, 1.0, 0.5, math.nan, 1.0, True), "kappa"),
+    ):
+        with pytest.raises(EdgeSetFormatError, match=fragment) as err:
+            EdgeSet.from_arrays(64, 64, *columns([GOOD_ROW, GOOD_ROW, bad, bad]))
+        assert err.value.row == 2
+        assert str(err.value).startswith("edge 2:")
+    with pytest.raises(ValueError, match="equal length"):
+        EdgeSet.from_arrays(64, 64, [1.0], [1.0, 2.0], [0.0], [0.0], [1.0], [True])
 
 
 def test_edgeset_rejects_out_of_frame():
@@ -103,6 +127,25 @@ def test_edgeset_rejects_out_of_frame():
         EdgeSet(64, 64, (Edge(64.0, 1.0, 0.0),))
     with pytest.raises(ValueError):
         EdgeSet(64, 64, (Edge(1.0, -0.5, 0.0),))
+    for x, y in ((64.0, 1.0), (1.0, -0.5), (1.0, 64.0), (-math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(EdgeSetFormatError, match="frame"):
+            EdgeSet.from_arrays(64, 64, *columns([GOOD_ROW, (x, y, 0.5, 0.0, 1.0, True)]))
+    # Just inside the bound is in frame.
+    edge = np.nextafter(64.0, 0.0)
+    assert len(EdgeSet.from_arrays(64, 64, *columns([(edge, edge, 0.5, 0.0, 1.0, True)]))) == 1
+
+
+def test_edgeset_columns_and_rows_agree():
+    rows = [(3.5, 4.25, 1.5, -0.01, 0.25, False), (10.0, 20.0, 6.0, 0.5, 1.0, True)]
+    es = EdgeSet.from_arrays(64, 32, *columns(rows))
+    assert [tuple(vars(e).values()) for e in es.edges] == rows
+    assert es.edges[-1] == Edge(*rows[-1])
+    assert es.edges[:1] == [Edge(*rows[0])]
+    assert es.arrays() is es.arrays()
+    assert es.arrays().x.dtype == np.float64 and es.arrays().reliable.dtype == bool
+    assert serialize(EdgeSet(64, 32, es.edges)) == serialize(es)
+    empty = EdgeSet(64, 32)
+    assert empty.arrays().x.dtype == np.float64 and len(empty.edges) == 0
 
 
 @given(
@@ -170,13 +213,14 @@ def test_query_matches_brute_force(rows, qx, qy, radius, qtheta, eps_theta, cell
     es = EdgeSet(256, 256, tuple(Edge(x, y, t) for x, y, t in rows))
     index = build_index(es, cell)
     got = query_near(index, es, qx, qy, radius, qtheta, eps_theta)
-    assert got == oracle_query(es, qx, qy, radius, qtheta, eps_theta)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracle_query(es, qx, qy, radius, qtheta, eps_theta)
 
 
 def test_query_zero_radius_hits_exact_position():
     es = EdgeSet(64, 64, (Edge(10.0, 20.0, 1.0), Edge(30.0, 40.0, 1.0)))
     index = build_index(es, 4.0)
-    assert query_near(index, es, 10.0, 20.0, 0.0, 1.0, 0.5) == [0]
+    assert query_near(index, es, 10.0, 20.0, 0.0, 1.0, 0.5).tolist() == [0]
 
 
 def test_query_negative_radius_raises():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from edgematch import (
     ProbabilityParams,
     expected_trials,
-    miss_probability,
     miss_probability_general,
     monte_carlo_miss,
 )
@@ -22,14 +21,13 @@ def exact_miss(p: Fraction, m: int, k: int = 2) -> float:
 
 
 def test_miss_probability_against_rational_arithmetic():
-    got = miss_probability(ProbabilityParams(p=0.25, m=20))
+    got = miss_probability_general(0.25, 20)
     assert got == pytest.approx(exact_miss(Fraction(1, 4), 20), rel=1e-12)
 
 
 @given(st.floats(0.0, 1.0), st.integers(0, 60))
 def test_miss_probability_matches_general_two_edge_form(p, m):
-    params = ProbabilityParams(p=p, m=m)
-    assert miss_probability(params) == miss_probability_general(p, m, 2)
+    assert miss_probability_general(p, m) == (1.0 - (1.0 - p) ** 2) ** m
 
 
 def test_three_edge_couples_are_harder_to_hit_but_miss_less():
@@ -54,10 +52,9 @@ def test_expected_trials_rejects_certain_dropout():
 
 @given(st.floats(0.01, 0.99), st.integers(1, 40))
 def test_miss_probability_monotone(p, m):
-    params = ProbabilityParams(p=p, m=m)
-    base = miss_probability(params)
-    assert miss_probability(ProbabilityParams(p=p, m=m + 1)) <= base
-    assert miss_probability(ProbabilityParams(p=min(p + 0.01, 1.0), m=m)) >= base
+    base = miss_probability_general(p, m)
+    assert miss_probability_general(p, m + 1) <= base
+    assert miss_probability_general(min(p + 0.01, 1.0), m) >= base
 
 
 # ------------------------------------------------------------- validation
@@ -86,7 +83,7 @@ def test_degenerate_dropouts_are_exact():
     assert monte_carlo_miss(ProbabilityParams(p=1.0, m=10), 1000) == (1.0, 0.0)
     est, err = monte_carlo_miss(ProbabilityParams(p=0.3, m=0), 1000)
     assert (est, err) == (1.0, 0.0)
-    assert miss_probability(ProbabilityParams(p=0.3, m=0)) == 1.0
+    assert miss_probability_general(0.3, 0) == 1.0
 
 
 def test_workers_do_not_change_the_stream():
@@ -113,7 +110,7 @@ def test_chunk_boundaries():
 def test_estimates_agree_with_closed_form(p, m):
     params = ProbabilityParams(p=p, m=m)
     est, err = monte_carlo_miss(params, 200_000, seed=20)
-    cf = miss_probability(params)
+    cf = miss_probability_general(p, m)
     assert abs(est - cf) <= max(3.0 * err, 1e-4)
 
 

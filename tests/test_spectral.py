@@ -12,7 +12,9 @@ from edgematch import (
     render_shapes,
     spectral_gradient,
 )
-from edgematch.edges import TWO_PI, angular_distance
+from edgematch.edges import TWO_PI
+
+from helpers import angular_distance
 
 HALF_PI = 0.5 * math.pi
 
