@@ -21,6 +21,7 @@ from .edges import (
     build_index,
     parse,
     query_near,
+    query_near_batch,
     serialize,
 )
 from .gallery import (
@@ -101,6 +102,7 @@ __all__ = [
     "monte_carlo_miss",
     "parse",
     "query_near",
+    "query_near_batch",
     "random_edge_set",
     "render_overlay",
     "render_shapes",

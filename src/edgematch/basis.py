@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import (
-    TWO_PI,
-    Edge,
-    EdgeSet,
-    SpatialIndex,
-    angular_distance_array,
-    query_near,
-)
+from .edges import TWO_PI, Edge, EdgeSet, angular_distance_array
 
 _PI = math.pi
 
@@ -110,7 +103,11 @@ def _fold_half(d):
     return np.minimum(d, _PI - d)
 
 
-_CHUNK_ROWS = 256
+# Couples scored per step of the pruned enumeration: smaller steps raise
+# the floor sooner, larger ones spend less time per couple.
+_CHUNK_PAIRS = 1 << 14
+# Cells of the cand1 x cand2 matrix that find_compatible_pairs holds at once.
+_CHUNK_CELLS = 1 << 18
 
 
 def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> list[BasisPair]:
@@ -122,74 +119,80 @@ def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> l
     axis: those are nearly collinear with it and pin the scale poorly.
     Sorted by descending quality, ties broken by lower i then lower j, and
     truncated to max_basis_a entries.  Deterministic.
+
+    A couple's quality is at most conf_i * conf_j, so edges are visited in
+    descending confidence and couples that cannot beat the current
+    max_basis_a-th best quality are never scored; the result is the same as
+    scoring every couple.
     """
     if cfg is None:
         cfg = HypothesisConfig()
     arr = es.arrays()
     rel = np.nonzero(arr.reliable)[0]
-    if rel.size < 2:
+    n = rel.size
+    if n < 2:
         return []
     diag = es.frame_diagonal
     half_diag = diag / 2.0
     min_dist = cfg.resolved_min_dist(diag)
+    min_sep = cfg.min_sep_angle
+    x, y, th, conf = arr.x[rel], arr.y[rel], arr.theta[rel], arr.confidence[rel]
+    # Rank -> local index, by descending confidence, ties by lower index.
+    perm = np.lexsort((np.arange(n), -conf))
+    cs = conf[perm]
+    k = cfg.max_basis_a
+    best = np.empty((0, 5))  # rows (quality, i, j, phi, dist), local i < j
+    floor = -np.inf  # the k-th best quality so far
 
-    x = arr.x[rel]
-    y = arr.y[rel]
-    th = arr.theta[rel]
-    conf = arr.confidence[rel]
-    nrel = rel.size
-
-    kept: list[np.ndarray] = []
-    for a0 in range(0, nrel, _CHUNK_ROWS):
-        a1 = min(a0 + _CHUNK_ROWS, nrel)
-        dx = x[np.newaxis, :] - x[a0:a1, np.newaxis]
-        dy = y[np.newaxis, :] - y[a0:a1, np.newaxis]
+    def add(r, c):
+        """Score the admissible couples of ranks (r[t], c[t]); keep the k best."""
+        nonlocal best, floor
+        i, j = np.minimum(perm[r], perm[c]), np.maximum(perm[r], perm[c])
+        dx = x[j] - x[i]
+        dy = y[j] - y[i]
         dist = np.sqrt(dx * dx + dy * dy)
-        dth = angular_distance_array(th[a0:a1, np.newaxis], th[np.newaxis, :])
-        sep = _fold_half(dth)
-        ii, jj = np.meshgrid(np.arange(a0, a1), np.arange(nrel), indexing="ij")
-        mask = (jj > ii) & (dist >= min_dist) & (sep >= cfg.min_sep_angle)
-        if not mask.any():
-            continue
-        ii = ii[mask]
-        jj = jj[mask]
-        dxm = dx[mask]
-        dym = dy[mask]
-        distm = dist[mask]
-        sepm = sep[mask]
-        phi = np.mod(np.arctan2(dym, dxm), TWO_PI)
+        sep = _fold_half(angular_distance_array(th[i], th[j]))
+        ok = (dist >= min_dist) & (sep >= min_sep)
+        i, j, dx, dy, dist, sep = i[ok], j[ok], dx[ok], dy[ok], dist[ok], sep[ok]
+        phi = np.mod(np.arctan2(dy, dx), TWO_PI)
         phi[phi >= TWO_PI] = 0.0
-        dpar_i = _fold_half(angular_distance_array(th[ii], phi))
-        dpar_j = _fold_half(angular_distance_array(th[jj], phi))
-        ok = ~((dpar_i < cfg.min_sep_angle) & (dpar_j < cfg.min_sep_angle))
-        if not ok.any():
-            continue
-        ii, jj, phi, distm, sepm = ii[ok], jj[ok], phi[ok], distm[ok], sepm[ok]
-        q = conf[ii] * conf[jj] * np.minimum(distm / half_diag, 1.0) * np.sin(sepm)
-        order = np.lexsort((jj, ii, -q))[: cfg.max_basis_a]
-        kept.append(
-            np.column_stack((q[order], ii[order], jj[order], phi[order], distm[order]))
-        )
-    if not kept:
-        return []
-    rows = np.vstack(kept)
-    order = np.lexsort((rows[:, 2], rows[:, 1], -rows[:, 0]))[: cfg.max_basis_a]
-    rows = rows[order]
+        dpar_i = _fold_half(angular_distance_array(th[i], phi))
+        dpar_j = _fold_half(angular_distance_array(th[j], phi))
+        ok = ~((dpar_i < min_sep) & (dpar_j < min_sep))
+        i, j, phi, dist, sep = i[ok], j[ok], phi[ok], dist[ok], sep[ok]
+        q = conf[i] * conf[j] * np.minimum(dist / half_diag, 1.0) * np.sin(sep)
+        best = np.vstack((best, np.column_stack((q, i, j, phi, dist))[q >= floor]))
+        best = best[np.lexsort((best[:, 2], best[:, 1], -best[:, 0]))[:k]]
+        if len(best) == k:
+            floor = best[-1, 0]
+
+    # Seed the floor with every couple among the most confident edges.
+    m = min(n, int(math.isqrt(8 * k)) + 2)
+    add(*np.triu_indices(m, 1))
+    # Then rank rows r against columns c > r outside that block, skipping
+    # couples whose bound cs[r] * cs[c] is below the floor, until every
+    # remaining couple (both ranks >= r0) has a bound below it.
+    r0 = 0
+    while r0 < n - 1 and cs[r0] * cs[r0 + 1] >= floor:
+        c0 = max(m, r0 + 1)
+        c1 = int(np.count_nonzero(cs[r0] * cs >= floor))
+        if c1 <= c0:
+            break
+        r1 = min(r0 + max(1, _CHUNK_PAIRS // (c1 - c0)), c1 - 1)
+        r = np.arange(r0, r1)[:, np.newaxis]
+        c = np.arange(c0, c1)[np.newaxis, :]
+        rr, cc = np.nonzero((c > r) & (cs[r] * cs[c] >= floor))
+        add(rr + r0, cc + c0)
+        r0 = r1
     return [
-        BasisPair(
-            i=int(rel[int(r[1])]),
-            j=int(rel[int(r[2])]),
-            phi=float(r[3]),
-            dist=float(r[4]),
-            quality=float(r[0]),
-        )
-        for r in rows
+        BasisPair(i=int(rel[int(i)]), j=int(rel[int(j)]), phi=float(phi), dist=float(d),
+                  quality=float(q))
+        for q, i, j, phi, d in best
     ]
 
 
 def find_compatible_pairs(
     probe: EdgeSet,
-    probe_index: SpatialIndex,
     basis: BasisPair,
     ref_e1: Edge,
     ref_e2: Edge,
@@ -204,63 +207,43 @@ def find_compatible_pairs(
     implied scale s = basis.dist / dist_probe lies in [s_min, s_max].  The
     transform anchors exactly: s * p_n1 + t == p_ref1.  The result is capped
     at max_pairs_n by ascending residual |s * p_n2 + t - p_ref2|, ties broken
-    by lower n1 then n2.  Deterministic, regardless of the index layout.
+    by lower n1 then n2.  Deterministic.
     """
     if cfg is None:
         cfg = HypothesisConfig()
     arr = probe.arrays()
-    if len(probe) < 2:
-        return []
     cand1 = np.nonzero(angular_distance_array(arr.theta, ref_e1.theta) <= cfg.eps_theta)[0]
-    if cand1.size == 0:
+    cand2 = np.nonzero(angular_distance_array(arr.theta, ref_e2.theta) <= cfg.eps_theta)[0]
+    if cand1.size == 0 or cand2.size == 0:
         return []
     d_ref = basis.dist
-    # Inflated prefilter radius; the exact scale window is applied after.
-    radius = d_ref / cfg.s_min * (1.0 + 1e-12) + 1e-9
-    rows = []
-    for n1 in cand1:
-        x1 = float(arr.x[n1])
-        y1 = float(arr.y[n1])
-        cand2 = query_near(probe_index, probe, x1, y1, radius, ref_e2.theta, cfg.eps_theta)
-        cand2 = cand2[cand2 != n1]
-        if cand2.size == 0:
-            continue
-        dx = arr.x[cand2] - x1
-        dy = arr.y[cand2] - y1
+    parts = []
+    step = max(1, _CHUNK_CELLS // cand2.size)
+    for k in range(0, cand1.size, step):
+        rows = cand1[k:k + step]
+        n1, n2 = np.repeat(rows, cand2.size), np.tile(cand2, rows.size)
+        x1, y1 = arr.x[n1], arr.y[n1]
+        dx = arr.x[n2] - x1
+        dy = arr.y[n2] - y1
         dist = np.sqrt(dx * dx + dy * dy)
+        # dist > 0 also drops n2 == n1.
         ok = dist > 0.0
-        if not ok.any():
-            continue
-        cand2, dx, dy, dist = cand2[ok], dx[ok], dy[ok], dist[ok]
+        n1, n2, x1, y1, dx, dy, dist = (v[ok] for v in (n1, n2, x1, y1, dx, dy, dist))
         s = d_ref / dist
         ok = (s >= cfg.s_min) & (s <= cfg.s_max)
-        if not ok.any():
-            continue
-        cand2, dx, dy, s = cand2[ok], dx[ok], dy[ok], s[ok]
+        n1, n2, x1, y1, dx, dy, s = (v[ok] for v in (n1, n2, x1, y1, dx, dy, s))
         phi = np.mod(np.arctan2(dy, dx), TWO_PI)
         phi[phi >= TWO_PI] = 0.0
         ok = angular_distance_array(phi, basis.phi) <= cfg.eps_phi
-        if not ok.any():
-            continue
-        cand2, s = cand2[ok], s[ok]
+        n1, n2, x1, y1, s = (v[ok] for v in (n1, n2, x1, y1, s))
         tx = ref_e1.x - s * x1
         ty = ref_e1.y - s * y1
-        rx = s * arr.x[cand2] + tx - ref_e2.x
-        ry = s * arr.y[cand2] + ty - ref_e2.y
-        residual = np.sqrt(rx * rx + ry * ry)
-        for k in range(cand2.size):
-            rows.append(
-                (
-                    float(residual[k]),
-                    int(n1),
-                    int(cand2[k]),
-                    float(s[k]),
-                    float(tx[k]),
-                    float(ty[k]),
-                )
-            )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+        rx = s * arr.x[n2] + tx - ref_e2.x
+        ry = s * arr.y[n2] + ty - ref_e2.y
+        parts.append((np.sqrt(rx * rx + ry * ry), n1, n2, s, tx, ty))
+    residual, n1, n2, s, tx, ty = (np.concatenate(v) for v in zip(*parts))
+    top = np.lexsort((n2, n1, residual))[: cfg.max_pairs_n]
     return [
-        ((n1, n2), Transform(s=s, tx=tx, ty=ty))
-        for _, n1, n2, s, tx, ty in rows[: cfg.max_pairs_n]
+        ((int(n1[t]), int(n2[t])), Transform(s=float(s[t]), tx=float(tx[t]), ty=float(ty[t])))
+        for t in top
     ]

@@ -262,54 +262,102 @@ def parse(data: bytes | str) -> EdgeSet:
         raise EdgeSetFormatError(f"line {exc.row + 3}: {exc}", exc.row) from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpatialIndex:
-    """Uniform-grid bucket index over edge positions.
+    """Uniform-grid index over edge positions in CSR form.
 
-    Buckets map integer cell coordinates (floor(x/cell), floor(y/cell)) to
-    ascending arrays of edge indices.
+    The frame is cut into nx x ny square cells of side cell_size; cell
+    (cx, cy) has the number cy * nx + cx.  order lists the edge indices
+    sorted by cell (ascending within a cell), and the edges of cell k are
+    order[offsets[k]:offsets[k + 1]].  cell_size is at least the size
+    requested from :func:`build_index`, enlarged where needed so that the
+    grid has O(len(edges)) cells; any cell size gives the same query
+    results, as the exact predicates follow the cell lookup.
     """
 
     cell_size: float
-    buckets: dict[tuple[int, int], np.ndarray]
+    nx: int
+    ny: int
+    order: np.ndarray
+    offsets: np.ndarray
 
 
 def build_index(es: EdgeSet, cell_size: float) -> SpatialIndex:
+    """Grid index of the edge positions, with cells at least cell_size wide."""
     if not (cell_size > 0.0 and math.isfinite(cell_size)):
         raise ValueError("cell_size must be positive and finite")
+    # nx * ny <= (w/c + 1) * (h/c + 1) <= 3 * limit + 1, as each of
+    # w*h/c^2, w/c and h/c is at most limit.
+    limit = 4 * len(es) + 16
+    w, h = es.width, es.height
+    cell = max(cell_size, math.sqrt(w * h / limit), max(w, h) / limit)
+    nx, ny = math.ceil(w / cell), math.ceil(h / cell)
     arr = es.arrays()
-    grouped: dict[tuple[int, int], list[int]] = {}
-    cx = np.floor(arr.x / cell_size).astype(np.int64)
-    cy = np.floor(arr.y / cell_size).astype(np.int64)
-    for i in range(len(es)):
-        grouped.setdefault((int(cx[i]), int(cy[i])), []).append(i)
-    buckets = {c: np.array(ix, dtype=np.int64) for c, ix in grouped.items()}
-    return SpatialIndex(cell_size=cell_size, buckets=buckets)
+    key = _cell_of(arr.y, cell, ny) * nx + _cell_of(arr.x, cell, nx)
+    order = np.argsort(key, kind="stable")
+    offsets = np.zeros(nx * ny + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=nx * ny), out=offsets[1:])
+    return SpatialIndex(cell_size=cell, nx=nx, ny=ny, order=order, offsets=offsets)
 
 
-def _gather_candidates(index: SpatialIndex, x: float, y: float, radius: float) -> np.ndarray:
-    cs = index.cell_size
-    cx0 = math.floor((x - radius) / cs)
-    cx1 = math.floor((x + radius) / cs)
-    cy0 = math.floor((y - radius) / cs)
-    cy1 = math.floor((y + radius) / cs)
-    parts = []
-    # Candidates are a superset anyway (exact predicates follow), so when the
-    # window spans more cells than exist, walking the occupied buckets is
-    # equivalent and bounds the cost by the edge count.
-    if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) >= len(index.buckets):
-        for (cx, cy), b in index.buckets.items():
-            if cx0 <= cx <= cx1 and cy0 <= cy <= cy1:
-                parts.append(b)
-    else:
-        for cy in range(cy0, cy1 + 1):
-            for cx in range(cx0, cx1 + 1):
-                b = index.buckets.get((cx, cy))
-                if b is not None:
-                    parts.append(b)
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+def _cell_of(v: np.ndarray, cell: float, n: int) -> np.ndarray:
+    return np.minimum(np.floor(v / cell), n - 1).astype(np.int64)
+
+
+def _segment_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """concatenate(arange(s, s + c) for s, c in zip(starts, counts))."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (starts - ends + counts).repeat(counts)
+
+
+def query_near_batch(
+    index: SpatialIndex,
+    es: EdgeSet,
+    x,
+    y,
+    radius: float,
+    theta,
+    eps_theta: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """All (query, edge) index pairs where edge lies within `radius` of the
+    query point (x[q], y[q]) and within `eps_theta` of theta[q].
+
+    Returns two int64 arrays sorted by query, then edge.  The distance
+    predicate is evaluated as dx*dx + dy*dy <= radius*radius; results are
+    identical to a full scan applying the same tests, for any point,
+    including points outside the frame.
+    """
+    if radius < 0.0:
+        raise ValueError("radius must be non-negative")
+    qx, qy = pts = np.array([x, y], dtype=np.float64).reshape(2, -1)
+    qt = np.asarray(theta, dtype=np.float64)
+    size = np.array([[index.nx], [index.ny]])
+    # Widen the window past the rounding of the distance predicate.
+    pad = radius + 1e-9 * (1.0 + radius + np.abs(pts).max(axis=0))
+    lo = np.floor((pts - pad) / index.cell_size)
+    hi = np.floor((pts + pad) / index.cell_size)
+    # Clip each window to the grid; one that misses it gets no cell rows.
+    hit = ((hi >= 0) & (lo < size)).all(axis=0)
+    (x0, y0) = np.where(hit, np.maximum(lo, 0), 0).astype(np.int64)
+    (x1, y1) = np.where(hit, np.minimum(hi, size - 1), -1).astype(np.int64)
+    # One cell row per (query, y): its cells x0..x1 are one run of order.
+    rows = y1 - y0 + 1
+    cy = _segment_ranges(y0, rows)
+    q, x0, x1 = np.arange(qt.size).repeat(rows), x0.repeat(rows), x1.repeat(rows)
+    first = index.offsets[cy * index.nx + x0]
+    counts = index.offsets[cy * index.nx + x1 + 1] - first
+    edge = index.order[_segment_ranges(first, counts)]
+    q = q.repeat(counts)
+    arr = es.arrays()
+    dx = arr.x[edge] - qx[q]
+    dy = arr.y[edge] - qy[q]
+    ok = (dx * dx + dy * dy <= radius * radius) & (
+        angular_distance_array(arr.theta[edge], qt[q]) <= eps_theta
+    )
+    q, edge = q[ok], edge[ok]
+    # Edges of one query come out grouped by cell row.
+    by = np.lexsort((edge, q))
+    return q[by], edge[by]
 
 
 def query_near(
@@ -322,20 +370,6 @@ def query_near(
     eps_theta: float,
 ) -> np.ndarray:
     """Indices of edges within `radius` of (x, y) and within `eps_theta` of
-    `theta`, as an ascending int64 array.
-
-    The distance predicate is evaluated as dx*dx + dy*dy <= radius*radius;
-    results are identical to a full scan applying the same tests.
-    """
-    if radius < 0.0:
-        raise ValueError("radius must be non-negative")
-    cand = _gather_candidates(index, x, y, radius)
-    if cand.size == 0:
-        return cand
-    arr = es.arrays()
-    dx = arr.x[cand] - x
-    dy = arr.y[cand] - y
-    ok = (dx * dx + dy * dy <= radius * radius) & (
-        angular_distance_array(arr.theta[cand], theta) <= eps_theta
-    )
-    return np.sort(cand[ok])
+    `theta`, as an ascending int64 array: the one-point case of
+    :func:`query_near_batch`."""
+    return query_near_batch(index, es, [x], [y], radius, [theta], eps_theta)[1]

@@ -214,9 +214,8 @@ def extract_edges(img: GrayImage, cfg: EdgeExtractionConfig | None = None) -> Ed
     )
 
     denom = m_plus + m_minus - 2.0 * mag
-    delta = np.where(
-        np.abs(denom) > 1e-12 * mag_max, (m_minus - m_plus) / (2.0 * denom), 0.0
-    )
+    delta = np.divide(m_minus - m_plus, 2.0 * denom, out=np.zeros_like(mag),
+                      where=np.abs(denom) > 1e-12 * mag_max)
     delta = np.clip(delta, -0.5, 0.5)
 
     theta = np.mod(np.arctan2(gy, gx) + 0.5 * np.pi, TWO_PI)

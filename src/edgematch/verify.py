@@ -26,7 +26,7 @@ from .basis import (
     enumerate_basis_pairs,
     find_compatible_pairs,
 )
-from .edges import EdgeSet, SpatialIndex, build_index, query_near
+from .edges import EdgeSet, SpatialIndex, build_index, query_near_batch
 
 
 @dataclass(frozen=True)
@@ -184,21 +184,23 @@ def count_coincidences(
         return [], 0.0
     order = np.lexsort((np.arange(len(probe)), -arr_n.confidence))
     order = order[visible[order]]
-    claimed = np.zeros(len(ref), dtype=bool)
+    # Query k is the probe edge of rank k; its candidates are tried nearest
+    # first, ties by lower reference index.
+    qx, qy = mx[order], my[order]
+    rank, cand = query_near_batch(
+        ref_index, ref, qx, qy, cfg.eps_pos, arr_n.theta[order], cfg.eps_theta
+    )
+    dx = arr_a.x[cand] - qx[rank]
+    dy = arr_a.y[cand] - qy[rank]
+    by = np.lexsort((cand, dx * dx + dy * dy, rank))
+    claimed: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for n in order:
-        cand = query_near(
-            ref_index, ref, float(mx[n]), float(my[n]), cfg.eps_pos,
-            float(arr_n.theta[n]), cfg.eps_theta,
-        )
-        cand = cand[~claimed[cand]]
-        if cand.size == 0:
-            continue
-        dx = arr_a.x[cand] - mx[n]
-        dy = arr_a.y[cand] - my[n]
-        a = int(cand[int(np.argmin(dx * dx + dy * dy))])
-        claimed[a] = True
-        pairs.append((a, int(n)))
+    last = -1
+    for k, a in zip(rank[by].tolist(), cand[by].tolist()):
+        if k != last and a not in claimed:
+            claimed.add(a)
+            pairs.append((a, int(order[k])))
+            last = k
     score = 2.0 * len(pairs) / denominator
     return pairs, score
 
@@ -226,13 +228,15 @@ def sequential_verify(
         return confidence, True
     arr_a = ref.arrays()
     order = np.lexsort((np.arange(len(ref)), -arr_a.confidence))[: cfg.probe_count]
-    radius = cfg.eps_pos / transform.s
-    for a in order:
-        px, py = transform.invert(float(arr_a.x[a]), float(arr_a.y[a]))
-        hits = query_near(
-            probe_index, probe, px, py, radius, float(arr_a.theta[a]), cfg.eps_theta
-        )
-        if hits.size == 0:
+    # The same arithmetic as Transform.invert, for every probed edge at once.
+    px = (arr_a.x[order] - transform.tx) / transform.s
+    py = (arr_a.y[order] - transform.ty) / transform.s
+    q, _ = query_near_batch(
+        probe_index, probe, px, py, cfg.eps_pos / transform.s, arr_a.theta[order],
+        cfg.eps_theta,
+    )
+    for hits in np.bincount(q, minlength=order.size).tolist():
+        if hits == 0:
             confidence *= cfg.miss_factor
             if confidence < cfg.prune_threshold:
                 return confidence, True
@@ -307,9 +311,7 @@ def match(
             break
         e1 = ref.edges[bp.i]
         e2 = ref.edges[bp.j]
-        for n_pair, t_raw in find_compatible_pairs(
-            probe, probe_index, bp, e1, e2, hyp_cfg
-        ):
+        for n_pair, t_raw in find_compatible_pairs(probe, bp, e1, e2, hyp_cfg):
             if branches >= ver_cfg.max_branches:
                 break
             branches += 1

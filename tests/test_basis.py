@@ -1,8 +1,9 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgematch import (
@@ -11,10 +12,10 @@ from edgematch import (
     EdgeSet,
     HypothesisConfig,
     Transform,
-    build_index,
     enumerate_basis_pairs,
     find_compatible_pairs,
 )
+from edgematch import basis as basis_mod
 from edgematch.edges import TWO_PI
 
 from helpers import oracle_basis_pairs, oracle_compatible_pairs, oracle_pair_quality
@@ -149,6 +150,45 @@ def test_enumerate_matches_brute_force(rows, min_dist, min_sep, cap):
     assert keys == sorted(keys)
 
 
+@settings(max_examples=16)
+@given(
+    st.integers(100, 400),
+    st.sampled_from([1, 3, 300]),
+    st.sampled_from([2, 4, 10]),
+    st.floats(0.0, 0.5),
+    st.booleans(),
+    st.sampled_from([1, 64, basis_mod._CHUNK_PAIRS]),
+    st.integers(0, 2**31 - 1),
+)
+def test_enumerate_pruned_matches_brute_force(n, cap, levels, unreliable, exact, chunk, seed):
+    # Enough edges that the confidence bound stops the enumeration early;
+    # confidences on a few levels, so that bounds and qualities tie.  With
+    # `exact`, edges sit in two opposite corners with axis-aligned
+    # orientations, so admissible couples span the half diagonal at right
+    # angles and their quality equals the bound conf_i * conf_j, and equal
+    # bounds arise from different confidences (0.25 * 1.0 == 0.5 * 0.5).
+    rng = np.random.default_rng(seed)
+    if exact:
+        corner = rng.integers(0, 2, n) * 180.0
+        x, y = corner + rng.uniform(0.0, 19.9, n), corner + rng.uniform(0.0, 19.9, n)
+        theta = rng.integers(0, 4, n) * (0.5 * math.pi)
+    else:
+        x, y = rng.uniform(0.0, 200.0, n), rng.uniform(0.0, 200.0, n)
+        theta = rng.uniform(0.0, TWO_PI, n)
+    es = EdgeSet.from_arrays(200, 200, x, y, theta, np.zeros(n),
+                             rng.integers(1, levels + 1, n) / levels,
+                             rng.random(n) >= unreliable)
+    cfg = HypothesisConfig(max_basis_a=cap)
+    # Small chunks test the stopping rule after every few couples.
+    with patch.object(basis_mod, "_CHUNK_PAIRS", chunk):
+        got = enumerate_basis_pairs(es, cfg)
+    expected = oracle_basis_pairs(es, cfg)
+    assert [(b.i, b.j, b.quality, b.dist) for b in got] == [
+        (r[1], r[2], r[0], r[4]) for r in expected
+    ]
+    assert [b.phi for b in got] == pytest.approx([r[3] for r in expected], abs=1e-13)
+
+
 def test_enumerate_skips_unreliable_edges():
     es = EdgeSet(
         200, 200,
@@ -193,7 +233,7 @@ def test_identity_pair_is_found_exactly():
     cfg = HypothesisConfig(min_dist=10.0)
     basis = enumerate_basis_pairs(es, cfg)[0]
     out = find_compatible_pairs(
-        es, build_index(es, 8.0), basis, es.edges[basis.i], es.edges[basis.j], cfg
+        es, basis, es.edges[basis.i], es.edges[basis.j], cfg
     )
     (n1, n2), t = out[0]
     assert (n1, n2) == (basis.i, basis.j)
@@ -208,7 +248,7 @@ def test_scale_and_shift_recovered_exactly():
     phi = math.atan2(40.0, 30.0)
     basis = BasisPair(i=0, j=1, phi=phi, dist=d, quality=1.0)
     out = find_compatible_pairs(
-        probe, build_index(probe, 8.0), basis, ref.edges[0], ref.edges[1],
+        probe, basis, ref.edges[0], ref.edges[1],
         HypothesisConfig(min_dist=10.0),
     )
     assert len(out) == 1
@@ -227,8 +267,9 @@ def test_scale_and_shift_recovered_exactly():
         max_size=25,
     ),
     st.sampled_from([1, 3, 10]),
+    st.sampled_from([1, 7, basis_mod._CHUNK_CELLS]),
 )
-def test_find_compatible_matches_brute_force(ref_rows, probe_rows, cap):
+def test_find_compatible_matches_brute_force(ref_rows, probe_rows, cap, chunk):
     ref = make_set(ref_rows)
     probe = EdgeSet(200, 200, tuple(Edge(x, y, t) for x, y, t in probe_rows))
     cfg = HypothesisConfig(min_dist=5.0, max_pairs_n=cap)
@@ -236,10 +277,11 @@ def test_find_compatible_matches_brute_force(ref_rows, probe_rows, cap):
     if not bases:
         return
     basis = bases[0]
-    index = build_index(probe, 8.0)
-    got = find_compatible_pairs(
-        probe, index, basis, ref.edges[basis.i], ref.edges[basis.j], cfg
-    )
+    # Small chunks split the candidate matrix into many row blocks.
+    with patch.object(basis_mod, "_CHUNK_CELLS", chunk):
+        got = find_compatible_pairs(
+            probe, basis, ref.edges[basis.i], ref.edges[basis.j], cfg
+        )
     expected = oracle_compatible_pairs(
         probe, basis.phi, basis.dist, ref.edges[basis.i], ref.edges[basis.j], cfg
     )
@@ -254,7 +296,7 @@ def test_find_compatible_respects_scale_window():
     probe = EdgeSet(160, 160, (Edge(20.0, 20.0, 1.0), Edge(30.0, 20.0, 2.5)))
     basis = BasisPair(i=0, j=1, phi=0.0, dist=100.0, quality=1.0)
     out = find_compatible_pairs(
-        probe, build_index(probe, 8.0), basis, ref.edges[0], ref.edges[1],
+        probe, basis, ref.edges[0], ref.edges[1],
         HypothesisConfig(min_dist=10.0),
     )
     assert out == []
@@ -265,9 +307,9 @@ def test_find_compatible_on_tiny_probe_sets():
     basis = BasisPair(i=0, j=1, phi=0.0, dist=100.0, quality=1.0)
     empty = EdgeSet(160, 160, ())
     assert find_compatible_pairs(
-        empty, build_index(empty, 8.0), basis, ref.edges[0], ref.edges[1]
+        empty, basis, ref.edges[0], ref.edges[1]
     ) == []
     single = EdgeSet(160, 160, (Edge(5.0, 5.0, 1.0),))
     assert find_compatible_pairs(
-        single, build_index(single, 8.0), basis, ref.edges[0], ref.edges[1]
+        single, basis, ref.edges[0], ref.edges[1]
     ) == []

@@ -12,6 +12,7 @@ from edgematch import (
     build_index,
     parse,
     query_near,
+    query_near_batch,
     serialize,
 )
 from edgematch.edges import TWO_PI, angular_distance_array
@@ -236,3 +237,71 @@ def test_build_index_rejects_bad_cell_size():
         build_index(es, 0.0)
     with pytest.raises(ValueError):
         build_index(es, math.inf)
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 99.99), st.floats(0.0, 79.99), angles),
+        max_size=40,
+    ),
+    st.lists(
+        st.tuples(st.floats(-150.0, 250.0), st.floats(-150.0, 250.0), angles),
+        max_size=30,
+    ),
+    st.sampled_from([0.0, 2.5, 30.0, 500.0]),
+    st.floats(0.01, math.pi),
+    st.sampled_from([1e-9, 1.0, 7.0, 1000.0]),
+)
+def test_batched_query_matches_brute_force(rows, points, radius, eps_theta, cell):
+    # Points well outside the 100x80 frame, radii wider than it, and a cell
+    # size far below a pixel.
+    es = EdgeSet(100, 80, tuple(Edge(x, y, t) for x, y, t in rows))
+    index = build_index(es, cell)
+    x, y, theta = (np.array([p[k] for p in points], dtype=np.float64) for k in range(3))
+    q, e = query_near_batch(index, es, x, y, radius, theta, eps_theta)
+    assert q.dtype == e.dtype == np.int64
+    expected = [
+        (k, i) for k, (px, py, pt) in enumerate(points)
+        for i in oracle_query(es, px, py, radius, pt, eps_theta)
+    ]
+    assert list(zip(q.tolist(), e.tolist())) == expected
+
+
+def test_index_storage_stays_linear_in_edge_count():
+    es = grid_set(n=50)
+    for cell in (1e-9, 0.5, 3.0):
+        index = build_index(es, cell)
+        assert index.cell_size >= cell
+        assert index.offsets.size <= 4 * (4 * len(es) + 16)
+        assert sorted(index.order.tolist()) == list(range(len(es)))
+    assert build_index(es, 64.0).cell_size == 64.0
+    assert query_near(build_index(es, 1e-9), es, 0.25, 0.75, 0.0, 0.0, 0.1).tolist() == [0]
+
+
+def test_batched_query_on_empty_inputs():
+    es = grid_set()
+    index = build_index(es, 4.0)
+    q, e = query_near_batch(index, es, [], [], 5.0, [], 0.5)
+    assert q.size == e.size == 0
+    empty = EdgeSet(64, 64, ())
+    q, e = query_near_batch(build_index(empty, 4.0), empty, [1.0, 2.0], [1.0, 2.0], 50.0,
+                            [0.0, 0.0], 3.2)
+    assert q.size == e.size == 0
+
+
+@pytest.mark.parametrize("cell", [1.0, 2.0])
+def test_batched_query_includes_edges_at_exactly_the_radius(cell):
+    # Edges on every integer point, queried from integer and half-integer
+    # points with whole radii: many edges sit exactly on the circle, and on
+    # the first or last cell of the query window.
+    pts = [(float(x), float(y)) for x in range(32) for y in range(32)]
+    es = EdgeSet(32, 32, tuple(Edge(x, y, 1.0) for x, y in pts))
+    index = build_index(es, cell)
+    assert index.cell_size == cell
+    qx = np.array([0.0, 5.0, 31.0, 16.5, -2.0, 33.0])
+    qy = np.array([0.0, 7.0, 31.0, 9.0, 4.0, 33.0])
+    for radius in (1.0, 2.0, 3.0):
+        q, e = query_near_batch(index, es, qx, qy, radius, np.ones(6), 0.1)
+        expected = [(k, i) for k in range(6)
+                    for i in oracle_query(es, qx[k], qy[k], radius, 1.0, 0.1)]
+        assert list(zip(q.tolist(), e.tolist())) == expected

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from edgematch import (
     Disk,
     EdgeExtractionConfig,
     GrayImage,
+    Rect,
     extract_edges,
     isophote_curvature,
     render_shapes,
@@ -214,3 +216,17 @@ def test_extraction_config_validation():
         EdgeExtractionConfig(border_margin=-1)
     assert EdgeExtractionConfig(sigma=1.5).resolved_margin() == 6
     assert EdgeExtractionConfig(border_margin=3).resolved_margin() == 3
+
+
+def test_extract_emits_no_floating_point_warnings():
+    # Subpixel offsets used to divide by a zero denominator before the
+    # selection discarded the result; 0/0 there raised "invalid value".
+    img = render_shapes(128, 96, (
+        Disk(cx=40.0, cy=48.0, r=20.0, intensity=1.0),
+        Disk(cx=96.0, cy=30.0, r=12.0, intensity=0.7),
+        Rect(x0=70.0, y0=50.0, w=40.0, h=30.0, intensity=0.6),
+    ), background=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        es = extract_edges(img, EdgeExtractionConfig(sigma=2.5))
+    assert len(es) > 0

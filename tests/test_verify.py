@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -138,6 +140,32 @@ def test_coincidences_match_oracle(ref_rows, probe_rows, s, tx, ty, eps_pos, eps
     assert score == o_score
     # one-to-one on both sides
     assert len({a for a, _ in pairs}) == len(pairs) == len({n for _, n in pairs})
+
+
+def test_coincidence_distance_ties_go_to_lowest_ref_index():
+    # Edge 0 lies in a later grid cell than edge 1, both exactly eps_pos away.
+    ref = EdgeSet(32, 32, (Edge(12.0, 10.0, 1.0), Edge(6.0, 10.0, 1.0)))
+    probe = EdgeSet(32, 32, (Edge(9.0, 10.0, 1.0),))
+    pairs, _ = count_coincidences(ref, build_index(ref, 3.0), probe, IDENTITY)
+    assert pairs == [(0, 0)]
+
+
+@pytest.mark.parametrize("eps_pos", [0.5, 1.0, 1.5])
+def test_coincidences_on_integer_grid_match_oracle(eps_pos):
+    # Reference edges on the integer points in shuffled order; probe edges on
+    # half-integer points, equidistant from two or four of them, with
+    # confidences on four levels so that the processing order ties too.
+    rng = np.random.default_rng(5)
+    points = [(float(x), float(y)) for x in range(4, 20) for y in range(4, 20)]
+    ref = EdgeSet(32, 32, tuple(Edge(*points[k], 1.0) for k in rng.permutation(len(points))))
+    probe = EdgeSet(32, 32, tuple(
+        Edge(x + 0.5, y + float(rng.integers(0, 2)) * 0.5, 1.0 + float(rng.uniform(-0.1, 0.1)),
+             0.0, float(rng.integers(1, 5)) / 4.0)
+        for x, y in points[::3]
+    ))
+    cfg = VerifyConfig(eps_pos=eps_pos, eps_theta=0.2)
+    got = count_coincidences(ref, build_index(ref, eps_pos), probe, IDENTITY, cfg)
+    assert got == oracle_coincidences(ref, probe, IDENTITY, eps_pos, 0.2)
 
 
 @given(
@@ -322,3 +350,72 @@ def test_match_result_json_round_trip():
 def test_match_result_rejects_unknown_version():
     with pytest.raises(ValueError):
         MatchResult.from_json_dict({"version": 99, "decided": False, "score": 0.0})
+
+
+def identity_cases():
+    """20 fixed (ref, probe, hypothesis config, verify config) cases with up
+    to 1500 edges: 14 true pairs, half of them with confidences on eight
+    levels and a fifth of the edges unreliable, then 6 unrelated pairs with
+    pruning off, so that the best branch is reported."""
+    for k in range(20):
+        rng = np.random.default_rng([17, k])
+        n = int(rng.integers(100, 1501))
+        w, h = (int(v) for v in rng.integers(200, 600, 2))
+        ref = random_edge_set(n, w, h, seed=int(rng.integers(2**31)))
+        if k % 2:
+            c = ref.arrays()
+            ref = EdgeSet.from_arrays(w, h, c.x, c.y, c.theta, c.kappa,
+                                      np.round(c.confidence * 8.0) / 8.0, rng.random(n) < 0.8)
+        hyp = HypothesisConfig(max_basis_a=int(rng.choice([1, 3, 300, 300])))
+        if k < 14:
+            truth = Transform(s=float(rng.uniform(0.8, 1.25)),
+                              tx=float(rng.uniform(-30.0, 30.0)),
+                              ty=float(rng.uniform(-30.0, 30.0)))
+            spec = CorruptionSpec(dropout=float(rng.uniform(0.0, 0.15)),
+                                  jitter_pos=float(rng.uniform(0.0, 0.5)), jitter_theta=0.03,
+                                  clutter_frac=float(rng.uniform(0.0, 0.2)),
+                                  seed=int(rng.integers(2**31)))
+            probe = corrupt_and_transform(ref, truth, spec, w, h)
+            ver = VerifyConfig()
+        else:
+            probe = random_edge_set(int(rng.integers(100, 1501)), w, h,
+                                    seed=int(rng.integers(2**31)))
+            ver = VerifyConfig(prune_threshold=0.0)
+        yield ref, probe, hyp, ver
+
+
+# sha256 of the sorted-key JSON of match() on each of identity_cases(), taken
+# before basis enumeration was pruned and the grid index batched (numpy 2.x,
+# x86-64): both changes must leave every result unchanged.
+PINNED_MATCH_SHA256 = [
+    "4fb440c56de5149477d896a1d002472cf1c17a96ff5c8441112b751a6dbcaca9",
+    "07346870d8df17aef1d64048c2d6def07bbcf2648394cf93b78bf58f7229c144",
+    "77bf4960f91b33cfd57bb8b32a98df2bbfdf5bb11e81ce217bbbd9466bc08f9b",
+    "d5686280ad1f879c10ebcddf85ba8f961aa8bab5f251fd64d04183e49d624292",
+    "beb5709f868a6ea2888ff8c3e3412266acc86728837e45adbbaff9eded419f77",
+    "ae154f0abbfe1c547a9d7bd207d8982302c43b31c7dc6dffffcc208387bd08e8",
+    "ef052db5fe4d6c2c786f5b2265b0ec0f2281da71261814c165f8c798096e8421",
+    "23f28f10076c3399c8ee1bb7016eb1cd79087a56933724cda3974f2cd3cebd85",
+    "50c1dc335ecd29bed2dffae96dbc8b62366dad94ee66cb9892961d024cf1f618",
+    "bb6c2defb605d6d2af4589b71a22e54a82458ad77d59f0c2d2d713eb56c8f1a2",
+    "6b2864f0a3100a4db529a2b294708cf529fd01f0237bf44f1787f1170239c9be",
+    "ea7bc59fabaf6403afd4219c4d5e8abd273fec1d0765541eaa544c8834ec9e59",
+    "5dcd6e411d157135e81c7591fc47dc50d402d90928d116992177f568dc2a1b96",
+    "1705c1b3d29806e3a952ea6afbd3d43db302cce37923874ace5df3c8bf59bacb",
+    "5118bc83a304c783f758e259ef88bdab564cfbca7913546c6ab82f7817c2d104",
+    "1de08490ccfc6718ca913917cc5d81c219fdbff249ba668c0f2b74c324358e0f",
+    "e02c3ff676fa7e2d9469cd829a681db7101b6bf3c4411d3759aae9f6e2ab884e",
+    "4ef4c10a04d1cd62348c44d7c96a39796b418f96a0eea7e8d665fbe50aa556f3",
+    "077b8231b3b23cfad437fe571687e1025e8b0194ad0e4ad35f25caef3f38a959",
+    "de937e88137f1c7d57c66aa9d986608764ba3823d77574e22a964a52f912cfa0",
+]
+
+
+def test_match_json_digests_pinned():
+    got = [
+        hashlib.sha256(
+            json.dumps(match(ref, probe, hyp, ver).to_json_dict(), sort_keys=True).encode()
+        ).hexdigest()
+        for ref, probe, hyp, ver in identity_cases()
+    ]
+    assert [k for k, (a, b) in enumerate(zip(got, PINNED_MATCH_SHA256)) if a != b] == []
