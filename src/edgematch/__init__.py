@@ -20,7 +20,6 @@ from .edges import (
     SpatialIndex,
     build_index,
     parse,
-    query_near,
     query_near_batch,
     serialize,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "miss_probability_general",
     "monte_carlo_miss",
     "parse",
-    "query_near",
     "query_near_batch",
     "random_edge_set",
     "render_overlay",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import TWO_PI, Edge, EdgeSet, angular_distance_array
+from .edges import TWO_PI, Edge, EdgeSet, angular_distance_array, wrap_angle
 
 _PI = math.pi
 
@@ -23,7 +23,8 @@ _PI = math.pi
 @dataclass(frozen=True)
 class Transform:
     """Isotropic scale plus translation mapping probe points into the
-    reference frame: p_ref = s * p_probe + (tx, ty)."""
+    reference frame: p_ref = s * p_probe + (tx, ty).  apply and invert take
+    scalars or arrays of coordinates."""
 
     s: float
     tx: float
@@ -154,8 +155,7 @@ def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> l
         sep = _fold_half(angular_distance_array(th[i], th[j]))
         ok = (dist >= min_dist) & (sep >= min_sep)
         i, j, dx, dy, dist, sep = i[ok], j[ok], dx[ok], dy[ok], dist[ok], sep[ok]
-        phi = np.mod(np.arctan2(dy, dx), TWO_PI)
-        phi[phi >= TWO_PI] = 0.0
+        phi = wrap_angle(np.arctan2(dy, dx))
         dpar_i = _fold_half(angular_distance_array(th[i], phi))
         dpar_j = _fold_half(angular_distance_array(th[j], phi))
         ok = ~((dpar_i < min_sep) & (dpar_j < min_sep))
@@ -232,8 +232,7 @@ def find_compatible_pairs(
         s = d_ref / dist
         ok = (s >= cfg.s_min) & (s <= cfg.s_max)
         n1, n2, x1, y1, dx, dy, s = (v[ok] for v in (n1, n2, x1, y1, dx, dy, s))
-        phi = np.mod(np.arctan2(dy, dx), TWO_PI)
-        phi[phi >= TWO_PI] = 0.0
+        phi = wrap_angle(np.arctan2(dy, dx))
         ok = angular_distance_array(phi, basis.phi) <= cfg.eps_phi
         n1, n2, x1, y1, s = (v[ok] for v in (n1, n2, x1, y1, s))
         tx = ref_e1.x - s * x1

@@ -33,6 +33,14 @@ class EdgeSetFormatError(ValueError):
         self.row = row
 
 
+def wrap_angle(a: np.ndarray) -> np.ndarray:
+    """Angles taken mod 2*pi into [0, 2*pi), as a new array; a result that
+    rounds to 2*pi (np.mod of a tiny negative angle) becomes 0."""
+    a = np.mod(a, TWO_PI)
+    a[a >= TWO_PI] = 0.0
+    return a
+
+
 def angular_distance_array(a: np.ndarray, b) -> np.ndarray:
     """Shortest angular distance between orientations, in [0, pi].
 
@@ -359,17 +367,3 @@ def query_near_batch(
     by = np.lexsort((edge, q))
     return q[by], edge[by]
 
-
-def query_near(
-    index: SpatialIndex,
-    es: EdgeSet,
-    x: float,
-    y: float,
-    radius: float,
-    theta: float,
-    eps_theta: float,
-) -> np.ndarray:
-    """Indices of edges within `radius` of (x, y) and within `eps_theta` of
-    `theta`, as an ascending int64 array: the one-point case of
-    :func:`query_near_batch`."""
-    return query_near_batch(index, es, [x], [y], radius, [theta], eps_theta)[1]

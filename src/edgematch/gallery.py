@@ -15,7 +15,7 @@ from .basis import HypothesisConfig
 from .edges import EdgeSet
 from .verify import MatchResult, VerifyConfig, match
 
-_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 MANIFEST_NAME = "manifest.json"
 MODELS_DIR = "models"
@@ -43,6 +43,16 @@ class Gallery:
         return [e.id for e in self.manifest]
 
 
+def _model_file(id: str) -> str:
+    """The model path, relative to the gallery root, of a valid id."""
+    if not _ID_RE.fullmatch(id):
+        raise GalleryError(
+            f"id {id!r} invalid: use letters, digits, '.', '_', '-', not starting "
+            "with a separator"
+        )
+    return f"{MODELS_DIR}/{id}.edgeset"
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -60,7 +70,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
 def load_gallery(root: str | Path) -> Gallery:
     """Read a gallery rooted at `root`; a missing manifest means empty.
 
-    Every manifest entry's model file must exist, and ids must be unique.
+    Every manifest entry needs a valid, unique id and must name the existing
+    model file models/<id>.edgeset, so no entry reaches outside the root.
     """
     root = Path(root)
     manifest_path = root / MANIFEST_NAME
@@ -85,6 +96,10 @@ def load_gallery(root: str | Path) -> Gallery:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GalleryError(f"malformed manifest entry {item!r}: {exc}") from None
+        expected = _model_file(entry.id)
+        if entry.file != expected:
+            raise GalleryError(f"manifest entry {entry.id!r} names file {entry.file!r}, "
+                               f"expected {expected!r}")
         if entry.id in seen:
             raise GalleryError(f"duplicate id {entry.id!r} in manifest")
         seen.add(entry.id)
@@ -121,11 +136,7 @@ def enroll(
     (temp file + rename), so a crash can orphan a model file but never leave
     the manifest pointing at a missing or partial one.
     """
-    if not _ID_RE.match(id):
-        raise GalleryError(
-            f"id {id!r} invalid: use letters, digits, '.', '_', '-', not starting "
-            "with a separator"
-        )
+    rel = _model_file(id)
     if id in gallery.ids():
         raise GalleryError(f"id {id!r} already enrolled")
     root = gallery.root
@@ -134,7 +145,6 @@ def enroll(
         models.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise GalleryError(f"gallery root not writable: {exc}") from None
-    rel = f"{MODELS_DIR}/{id}.edgeset"
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat()
     entry = GalleryEntry(

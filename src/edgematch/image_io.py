@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-_WS = frozenset(b" \t\r\n\x0b\x0c")
+# A '#' comment runs up to CR or LF.  A token follows any whitespace and
+# comments and runs up to the next whitespace byte or '#'; it is empty only at
+# the end of the data, so a match never fails and never backtracks.  In bytes
+# patterns \s is [ \t\n\r\f\v], the set that bytes.split() splits on.
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_TOKEN = re.compile(rb"(?:\s|" + _COMMENT.pattern + rb")*([^\s#]*)")
 
 
 class PgmFormatError(ValueError):
@@ -47,30 +53,11 @@ class GrayImage:
         return cls(width=a.shape[1], height=a.shape[0], pixels=a)
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WS:
-            pos += 1
-        elif c == 0x23:  # '#' comment runs to end of line
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    if pos >= n:
+def _header_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    m = _TOKEN.match(data, pos)
+    if not m[1]:
         raise PgmFormatError("truncated header")
-    start = pos
-    while pos < n and data[pos] not in _WS and data[pos] != 0x23:
-        pos += 1
-    return data[start:pos], pos
-
-
-def _maybe_token(data: bytes, pos: int):
-    try:
-        return _next_token(data, pos)
-    except PgmFormatError:
-        return None, len(data)
+    return m[1], m.end()
 
 
 def _token_int(tok: bytes, what: str) -> int:
@@ -86,18 +73,18 @@ def load_pgm(data: bytes) -> GrayImage:
     Accepts '#' comments in the header, maxval up to 65535 (two-byte
     big-endian samples in P5 when maxval > 255), and reports distinct errors
     for bad magic numbers, zero dimensions, a zero maxval, and truncated or
-    oversized payloads.
+    oversized payloads.  P2 samples are the whitespace-separated tokens left
+    once each '#' comment (up to CR or LF) is blanked, each read by int().
     """
     data = bytes(data)
-    magic, pos = _next_token(data, 0)
+    magic, pos = _header_token(data, 0)
     if magic not in (b"P2", b"P5"):
         raise PgmFormatError(f"unsupported magic {magic!r}, expected P2 or P5")
-    tok, pos = _next_token(data, pos)
-    width = _token_int(tok, "width")
-    tok, pos = _next_token(data, pos)
-    height = _token_int(tok, "height")
-    tok, pos = _next_token(data, pos)
-    maxval = _token_int(tok, "maxval")
+    fields = []
+    for what in ("width", "height", "maxval"):
+        tok, pos = _header_token(data, pos)
+        fields.append(_token_int(tok, what))
+    width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise PgmFormatError(f"image dimensions must be positive, got {width}x{height}")
     if maxval == 0:
@@ -107,7 +94,7 @@ def load_pgm(data: bytes) -> GrayImage:
     n = width * height
 
     if magic == b"P5":
-        if pos >= len(data) or data[pos] not in _WS:
+        if not data[pos : pos + 1].isspace():
             raise PgmFormatError("missing single whitespace before binary payload")
         payload = data[pos + 1 :]
         bps = 1 if maxval < 256 else 2
@@ -121,24 +108,27 @@ def load_pgm(data: bytes) -> GrayImage:
             )
         dtype = np.dtype(">u2") if bps == 2 else np.dtype(np.uint8)
         raw = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    else:
-        vals = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            tok, pos = _maybe_token(data, pos)
-            if tok is None:
-                raise PgmFormatError(f"ASCII payload truncated after {i} of {n} samples")
-            v = _token_int(tok, "sample")
-            if v < 0 or v > maxval:
-                raise PgmFormatError(f"sample {v} outside [0, {maxval}]")
-            vals[i] = v
-        tok, _ = _maybe_token(data, pos)
-        if tok is not None:
-            raise PgmFormatError("trailing data after final sample")
-        raw = vals
-    if magic == b"P5":
         bad = raw > maxval
         if bad.any():
             raise PgmFormatError(f"sample {int(raw[bad][0])} exceeds maxval {maxval}")
+    else:
+        tokens = _COMMENT.sub(b" ", data[pos:]).split()
+        samples = tokens[:n]
+        try:
+            raw = np.array(list(map(int, samples)), dtype=np.float64)
+            ok = ((raw >= 0.0) & (raw <= maxval)).all()
+        except (ValueError, OverflowError):  # non-numeric, or too large for a float
+            ok = False
+        if not ok:
+            # A bad sample among the first n outranks a short or long payload.
+            for tok in samples:
+                v = _token_int(tok, "sample")
+                if v < 0 or v > maxval:
+                    raise PgmFormatError(f"sample {v} outside [0, {maxval}]")
+        if len(tokens) < n:
+            raise PgmFormatError(f"ASCII payload truncated after {len(tokens)} of {n} samples")
+        if len(tokens) > n:
+            raise PgmFormatError("trailing data after final sample")
     pixels = (raw / float(maxval)).reshape(height, width)
     return GrayImage(width=width, height=height, pixels=pixels)
 

@@ -60,7 +60,7 @@ def render_overlay(ref: EdgeSet, probe: EdgeSet, result: MatchResult) -> str:
     ra, pa = ref.arrays(), probe.arrays()
     ref_x, ref_y, ref_theta = ra.x.tolist(), ra.y.tolist(), ra.theta.tolist()
     probe_theta = pa.theta.tolist()
-    mapped = [t.apply(x, y) for x, y in zip(pa.x.tolist(), pa.y.tolist())]
+    mapped = list(zip(*(v.tolist() for v in t.apply(pa.x, pa.y))))
     lines.append('<g class="ref">')
     for x, y, theta in zip(ref_x, ref_y, ref_theta):
         lines.append(_segment(x, y, theta))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import TWO_PI, EdgeSet
+from .edges import TWO_PI, EdgeSet, wrap_angle
 from .image_io import GrayImage
 
 # Gradient magnitudes below this are treated as flat: no orientation, no
@@ -218,8 +218,7 @@ def extract_edges(img: GrayImage, cfg: EdgeExtractionConfig | None = None) -> Ed
                       where=np.abs(denom) > 1e-12 * mag_max)
     delta = np.clip(delta, -0.5, 0.5)
 
-    theta = np.mod(np.arctan2(gy, gx) + 0.5 * np.pi, TWO_PI)
-    theta[theta >= TWO_PI] = 0.0
+    theta = wrap_angle(np.arctan2(gy, gx) + 0.5 * np.pi)
     confidence = mag / mag_max
     reliable = np.abs(kappa) <= cfg.curvature_max
 

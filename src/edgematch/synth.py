@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Transform
-from .edges import TWO_PI, EdgeSet
+from .edges import TWO_PI, EdgeSet, wrap_angle
 from .image_io import GrayImage
 
 
@@ -52,8 +52,7 @@ def random_edge_set(n: int, width: int, height: int, seed: int = 0) -> EdgeSet:
     rng = np.random.default_rng(seed)
     x = np.minimum(rng.uniform(0.0, width, n), np.nextafter(float(width), 0.0))
     y = np.minimum(rng.uniform(0.0, height, n), np.nextafter(float(height), 0.0))
-    theta = rng.uniform(0.0, TWO_PI, n)
-    theta[theta >= TWO_PI] = 0.0
+    theta = wrap_angle(rng.uniform(0.0, TWO_PI, n))
     conf = np.minimum(rng.uniform(0.5, 1.0, n), 1.0)
     return EdgeSet.from_arrays(width, height, x, y, theta, np.zeros(n), conf,
                                np.ones(n, dtype=bool))
@@ -88,10 +87,9 @@ def corrupt_and_transform(
     jy = rng.standard_normal(n) * spec.jitter_pos
     jt = rng.standard_normal(n) * spec.jitter_theta
 
-    px = (arr.x - transform.tx) / transform.s + jx
-    py = (arr.y - transform.ty) / transform.s + jy
-    theta = np.mod(arr.theta + jt, TWO_PI)
-    theta[theta >= TWO_PI] = 0.0
+    px, py = transform.invert(arr.x, arr.y)
+    px, py = px + jx, py + jy
+    theta = wrap_angle(arr.theta + jt)
     keep = (~drop) & (px >= 0.0) & (px < out_width) & (py >= 0.0) & (py < out_height)
 
     n_clutter = int(math.floor(spec.clutter_frac * int(keep.sum()) + 0.5))
@@ -99,8 +97,7 @@ def corrupt_and_transform(
                     np.nextafter(float(out_width), 0.0))
     cy = np.minimum(rng.uniform(0.0, out_height, n_clutter),
                     np.nextafter(float(out_height), 0.0))
-    ct = rng.uniform(0.0, TWO_PI, n_clutter)
-    ct[ct >= TWO_PI] = 0.0
+    ct = wrap_angle(rng.uniform(0.0, TWO_PI, n_clutter))
     cc = np.minimum(rng.uniform(0.5, 1.0, n_clutter), 1.0)
     return EdgeSet.from_arrays(
         out_width,

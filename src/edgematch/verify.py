@@ -145,11 +145,6 @@ def _indices(v, n: int, name: str) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _mapped_positions(probe: EdgeSet, transform: Transform):
-    arr = probe.arrays()
-    return transform.s * arr.x + transform.tx, transform.s * arr.y + transform.ty
-
-
 def _visible_mask(ref: EdgeSet, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
     return (mx >= 0.0) & (mx < ref.width) & (my >= 0.0) & (my < ref.height)
 
@@ -176,7 +171,7 @@ def count_coincidences(
         cfg = VerifyConfig()
     arr_n = probe.arrays()
     arr_a = ref.arrays()
-    mx, my = _mapped_positions(probe, transform)
+    mx, my = transform.apply(arr_n.x, arr_n.y)
     visible = _visible_mask(ref, mx, my)
     n_visible = int(visible.sum())
     denominator = len(ref) + n_visible
@@ -228,9 +223,7 @@ def sequential_verify(
         return confidence, True
     arr_a = ref.arrays()
     order = np.lexsort((np.arange(len(ref)), -arr_a.confidence))[: cfg.probe_count]
-    # The same arithmetic as Transform.invert, for every probed edge at once.
-    px = (arr_a.x[order] - transform.tx) / transform.s
-    py = (arr_a.y[order] - transform.ty) / transform.s
+    px, py = transform.invert(arr_a.x[order], arr_a.y[order])
     q, _ = query_near_batch(
         probe_index, probe, px, py, cfg.eps_pos / transform.s, arr_a.theta[order],
         cfg.eps_theta,
@@ -344,7 +337,8 @@ def match(
             basis=None,
         )
     score, transform, pairs, confidence, bp, n_pair = best
-    n_visible = int(_visible_mask(ref, *_mapped_positions(probe, transform)).sum())
+    arr_n = probe.arrays()
+    n_visible = int(_visible_mask(ref, *transform.apply(arr_n.x, arr_n.y)).sum())
     return MatchResult(
         decided=score >= ver_cfg.accept_score,
         score=score,

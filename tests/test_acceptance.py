@@ -32,7 +32,7 @@ from edgematch import (
     match,
     miss_probability_general,
     monte_carlo_miss,
-    query_near,
+    query_near_batch,
     random_edge_set,
     render_shapes,
     save_pgm,
@@ -220,7 +220,7 @@ def test_criterion_08_coincidence_oracles():
             r = float(rng.uniform(0.0, 80.0))
             th = float(rng.uniform(0.0, 2.0 * np.pi))
             eps = float(rng.uniform(0.05, np.pi))
-            got = query_near(index, es, x, y, r, th, eps)
+            got = query_near_batch(index, es, [x], [y], r, [th], eps)[1]
             index_agrees &= got.tolist() == oracle_query(es, x, y, r, th, eps)
 
     ok = self_score == 1.0 and drop_score == 6.0 / 7.0 and index_agrees

@@ -11,7 +11,6 @@ from edgematch import (
     EdgeSetFormatError,
     build_index,
     parse,
-    query_near,
     query_near_batch,
     serialize,
 )
@@ -213,7 +212,7 @@ def test_angular_distance_array_matches_scalar(arr, b):
 def test_query_matches_brute_force(rows, qx, qy, radius, qtheta, eps_theta, cell):
     es = EdgeSet(256, 256, tuple(Edge(x, y, t) for x, y, t in rows))
     index = build_index(es, cell)
-    got = query_near(index, es, qx, qy, radius, qtheta, eps_theta)
+    got = query_near_batch(index, es, [qx], [qy], radius, [qtheta], eps_theta)[1]
     assert got.dtype == np.int64
     assert got.tolist() == oracle_query(es, qx, qy, radius, qtheta, eps_theta)
 
@@ -221,14 +220,14 @@ def test_query_matches_brute_force(rows, qx, qy, radius, qtheta, eps_theta, cell
 def test_query_zero_radius_hits_exact_position():
     es = EdgeSet(64, 64, (Edge(10.0, 20.0, 1.0), Edge(30.0, 40.0, 1.0)))
     index = build_index(es, 4.0)
-    assert query_near(index, es, 10.0, 20.0, 0.0, 1.0, 0.5).tolist() == [0]
+    assert query_near_batch(index, es, [10.0], [20.0], 0.0, [1.0], 0.5)[1].tolist() == [0]
 
 
 def test_query_negative_radius_raises():
     es = EdgeSet(64, 64, (Edge(1.0, 1.0, 0.0),))
     index = build_index(es, 4.0)
     with pytest.raises(ValueError):
-        query_near(index, es, 0.0, 0.0, -1.0, 0.0, 0.1)
+        query_near_batch(index, es, [0.0], [0.0], -1.0, [0.0], 0.1)
 
 
 def test_build_index_rejects_bad_cell_size():
@@ -275,7 +274,8 @@ def test_index_storage_stays_linear_in_edge_count():
         assert index.offsets.size <= 4 * (4 * len(es) + 16)
         assert sorted(index.order.tolist()) == list(range(len(es)))
     assert build_index(es, 64.0).cell_size == 64.0
-    assert query_near(build_index(es, 1e-9), es, 0.25, 0.75, 0.0, 0.0, 0.1).tolist() == [0]
+    index = build_index(es, 1e-9)
+    assert query_near_batch(index, es, [0.25], [0.75], 0.0, [0.0], 0.1)[1].tolist() == [0]
 
 
 def test_batched_query_on_empty_inputs():

@@ -60,7 +60,7 @@ def test_duplicate_id_rejected(tmp_path):
         enroll(g, "m", es, timestamp=TS)
 
 
-@pytest.mark.parametrize("bad_id", ["", ".hidden", "-x", "_x", "a/b", "a b", "a:b"])
+@pytest.mark.parametrize("bad_id", ["", ".hidden", "-x", "_x", "a/b", "a b", "a:b", "x\n"])
 def test_invalid_ids_rejected(tmp_path, bad_id):
     g = load_gallery(tmp_path)
     with pytest.raises(GalleryError, match="invalid"):
@@ -104,6 +104,27 @@ def test_malformed_entry_raises(tmp_path):
     )
     with pytest.raises(GalleryError, match="malformed manifest entry"):
         load_gallery(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "entry_id,file",
+    [
+        ("x", "{outside}"),
+        ("x", "../outside.edgeset"),
+        ("x", "models/../../outside.edgeset"),
+        ("../../outside", "models/../../outside.edgeset"),
+        ("x", "models/y.edgeset"),
+    ],
+)
+def test_manifest_entries_must_name_their_own_model_file(tmp_path, entry_id, file):
+    root = tmp_path / "gallery"
+    g = enroll(load_gallery(root), "y", random_edge_set(20, 64, 64, seed=1), timestamp=TS)
+    outside = tmp_path / "outside.edgeset"
+    outside.write_bytes((root / g.manifest[0].file).read_bytes())
+    entry = {"id": entry_id, "file": file.format(outside=outside), "source": "", "edge_count": 20, "enrolled_at": TS}
+    (root / "manifest.json").write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(GalleryError, match="invalid|names file"):
+        load_gallery(root)
 
 
 def test_search_ranks_the_true_model_first(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from edgematch import GrayImage, PgmFormatError, load_pgm, save_pgm
+from edgematch import Disk, GrayImage, PgmFormatError, Rect, load_pgm, render_shapes, save_pgm
 
 
 def test_p2_parse_with_comments():
@@ -13,6 +13,33 @@ def test_p2_parse_with_comments():
     assert (img.width, img.height) == (3, 2)
     expected = np.array([[0, 128, 255], [64, 32, 16]]) / 255.0
     assert np.array_equal(img.pixels, expected)
+
+
+@pytest.mark.parametrize(
+    "data,samples",
+    [
+        (b"P2\n2 2\n255\n1 # c 9\n2\n3 4\n", [[1, 2], [3, 4]]),  # comment ended by LF
+        (b"P2\n2 2\n255\n1 # c 9\r2\r3 4\r", [[1, 2], [3, 4]]),  # comment ended by CR
+        (b"P2\n2 1\n255\n12#c\n34#c", [[12, 34]]),  # samples glued to comments
+        (b"P2\n2 1\n255#c\n7 8", [[7, 8]]),  # maxval glued to a comment
+        (b"P2\n2 1\n255\n#c#c\n# \n5\n#\n6", [[5, 6]]),  # comments on their own lines
+        (b"P2\n2 1\n255\n+5 1_0\n", [[5, 10]]),  # read by int()
+        (b"P2\n3 1\n255\n1\x0c2\x0b3", [[1, 2, 3]]),  # form feed and vertical tab
+    ],
+)
+def test_p2_tokenizing(data, samples):
+    img = load_pgm(data)
+    assert img.pixels.dtype == np.float64
+    assert np.array_equal(img.pixels, np.array(samples) / 255.0)
+
+
+def test_p2_and_p5_of_a_scene_agree():
+    img = render_shapes(512, 512, [Disk(200.0, 180.0, 90.0, 0.8),
+                                   Rect(300.0, 320.0, 150.0, 100.0, 0.45)], background=0.1)
+    from_ascii = load_pgm(save_pgm(img, ascii=True))
+    from_binary = load_pgm(save_pgm(img))
+    assert from_ascii.pixels.shape == (512, 512)
+    assert np.array_equal(from_ascii.pixels, from_binary.pixels)
 
 
 def test_p5_8bit_parse():
@@ -78,6 +105,20 @@ def test_quantization_rounds_half_up():
         (b"P5\n2 1\n255\n" + bytes([1, 2, 3]), "trailing"),
         (b"P5\n2 1\n255", "whitespace"),
         (b"", "truncated"),
+        (b"P3", "magic"),
+        # A comment of many '#' ends a truncated header in linear time.
+        (b"P2 " + b"#" * 64, "truncated header"),
+        (b"P2\n3 x", "non-numeric height"),
+        (b"P5\n1 1\n255#\x00", "whitespace"),
+        (b"P5\n1 1\n255\x1c\x00", "non-numeric maxval"),  # 0x1c is not whitespace
+        (b"P2\n2 1\n255\n1 \xc3\xa9\n", "non-numeric sample field b'\\xc3\\xa9'"),
+        (b"P2\n2 1\n255\n1 # 2\n", "truncated after 1 of 2"),
+        # A bad sample outranks a short payload.
+        (b"P2\n3 1\n255\n300\n", "sample 300 outside"),
+        (b"P2\n3 1\n255\n1 x\n", "non-numeric sample"),
+        (b"P2\n2 1\n255\n1 2 x\n", "trailing"),
+        # Declared dimensions do not allocate before the payload is read.
+        (b"P2\n100000 100000\n255\n1\n", "truncated after 1 of 10000000000"),
     ],
 )
 def test_malformed_inputs_raise(data, fragment):
