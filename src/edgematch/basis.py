@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import TWO_PI, Edge, EdgeSet, angular_distance_array, wrap_angle
+from .edges import TWO_PI, EdgeSet, angular_distance_array, by_confidence, require_int, wrap_angle
 
 _PI = math.pi
 
@@ -90,8 +90,8 @@ class HypothesisConfig:
             raise ValueError("min_dist must be positive")
         if not (0.0 < self.s_min <= 1.0 <= self.s_max):
             raise ValueError("scale range must satisfy 0 < s_min <= 1 <= s_max")
-        if self.max_basis_a < 1 or self.max_pairs_n < 1:
-            raise ValueError("budgets must be at least 1")
+        require_int("max_basis_a", self.max_basis_a, 1)
+        require_int("max_pairs_n", self.max_pairs_n, 1)
 
     def resolved_min_dist(self, frame_diagonal: float) -> float:
         if self.min_dist is not None:
@@ -138,8 +138,7 @@ def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> l
     min_dist = cfg.resolved_min_dist(diag)
     min_sep = cfg.min_sep_angle
     x, y, th, conf = arr.x[rel], arr.y[rel], arr.theta[rel], arr.confidence[rel]
-    # Rank -> local index, by descending confidence, ties by lower index.
-    perm = np.lexsort((np.arange(n), -conf))
+    perm = by_confidence(conf)  # rank -> local index
     cs = conf[perm]
     k = cfg.max_basis_a
     best = np.empty((0, 5))  # rows (quality, i, j, phi, dist), local i < j
@@ -194,15 +193,14 @@ def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> l
 def find_compatible_pairs(
     probe: EdgeSet,
     basis: BasisPair,
-    ref_e1: Edge,
-    ref_e2: Edge,
+    ref: EdgeSet,
     cfg: HypothesisConfig | None = None,
 ) -> list[tuple[tuple[int, int], Transform]]:
-    """Probe couples compatible with one reference basis, with the induced
-    transform for each.
+    """Probe couples compatible with one basis of the reference set, with
+    the induced transform for each.
 
     A probe couple (n1, n2) qualifies when theta_n1 is within eps_theta of
-    the first basis edge, theta_n2 within eps_theta of the second, the
+    reference edge basis.i, theta_n2 within eps_theta of edge basis.j, the
     probe joining direction is within eps_phi of the basis phi, and the
     implied scale s = basis.dist / dist_probe lies in [s_min, s_max].  The
     transform anchors exactly: s * p_n1 + t == p_ref1.  The result is capped
@@ -212,8 +210,10 @@ def find_compatible_pairs(
     if cfg is None:
         cfg = HypothesisConfig()
     arr = probe.arrays()
-    cand1 = np.nonzero(angular_distance_array(arr.theta, ref_e1.theta) <= cfg.eps_theta)[0]
-    cand2 = np.nonzero(angular_distance_array(arr.theta, ref_e2.theta) <= cfg.eps_theta)[0]
+    r = ref.arrays()
+    i, j = basis.i, basis.j
+    cand1 = np.nonzero(angular_distance_array(arr.theta, r.theta[i]) <= cfg.eps_theta)[0]
+    cand2 = np.nonzero(angular_distance_array(arr.theta, r.theta[j]) <= cfg.eps_theta)[0]
     if cand1.size == 0 or cand2.size == 0:
         return []
     d_ref = basis.dist
@@ -235,10 +235,10 @@ def find_compatible_pairs(
         phi = wrap_angle(np.arctan2(dy, dx))
         ok = angular_distance_array(phi, basis.phi) <= cfg.eps_phi
         n1, n2, x1, y1, s = (v[ok] for v in (n1, n2, x1, y1, s))
-        tx = ref_e1.x - s * x1
-        ty = ref_e1.y - s * y1
-        rx = s * arr.x[n2] + tx - ref_e2.x
-        ry = s * arr.y[n2] + ty - ref_e2.y
+        tx = r.x[i] - s * x1
+        ty = r.y[i] - s * y1
+        rx = s * arr.x[n2] + tx - r.x[j]
+        ry = s * arr.y[n2] + ty - r.y[j]
         parts.append((np.sqrt(rx * rx + ry * ry), n1, n2, s, tx, ty))
     residual, n1, n2, s, tx, ty = (np.concatenate(v) for v in zip(*parts))
     top = np.lexsort((n2, n1, residual))[: cfg.max_pairs_n]

@@ -37,11 +37,13 @@ def _apply_section(cls, overrides: dict, section: str):
         raise ConfigError(f"invalid config section {section!r}: {exc}") from None
 
 
-def _load_configs(path: str | None):
+def _configs(args):
+    """The extract, hypothesis and verify configs of --config, printed to
+    stderr under --verbose."""
     doc = {}
-    if path is not None:
+    if args.config is not None:
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
@@ -54,41 +56,35 @@ def _load_configs(path: str | None):
     extract_cfg = _apply_section(EdgeExtractionConfig, doc.get("extract", {}), "extract")
     hyp_cfg = _apply_section(HypothesisConfig, doc.get("hypothesis", {}), "hypothesis")
     ver_cfg = _apply_section(VerifyConfig, doc.get("verify", {}), "verify")
+    if args.verbose:
+        effective = {
+            "command": args.command,
+            "extract": dataclasses.asdict(extract_cfg),
+            "hypothesis": dataclasses.asdict(hyp_cfg),
+            "verify": dataclasses.asdict(ver_cfg),
+        }
+        print(json.dumps(effective, indent=2), file=sys.stderr)
     return extract_cfg, hyp_cfg, ver_cfg
-
-
-def _print_effective(args, extract_cfg, hyp_cfg, ver_cfg) -> None:
-    if not getattr(args, "verbose", False):
-        return
-    doc = {
-        "command": args.command,
-        "extract": dataclasses.asdict(extract_cfg),
-        "hypothesis": dataclasses.asdict(hyp_cfg),
-        "verify": dataclasses.asdict(ver_cfg),
-    }
-    print(json.dumps(doc, indent=2), file=sys.stderr)
 
 
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _parse_edgeset_file(path: str):
+def _read(path: str) -> bytes:
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    return edges_mod.parse(data)
+
+
+def _parse_edgeset_file(path: str):
+    return edges_mod.parse(_read(path))
 
 
 def cmd_extract(args) -> int:
-    extract_cfg, hyp_cfg, ver_cfg = _load_configs(args.config)
-    _print_effective(args, extract_cfg, hyp_cfg, ver_cfg)
-    try:
-        data = Path(args.image).read_bytes()
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.image}: {exc}") from None
-    img = load_pgm(data)
+    extract_cfg, _, _ = _configs(args)
+    img = load_pgm(_read(args.image))
     es = extract_edges(img, extract_cfg)
     Path(args.out).write_bytes(edges_mod.serialize(es))
     print(f"extracted {len(es)} edges from {img.width}x{img.height} image -> {args.out}")
@@ -96,8 +92,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_match(args) -> int:
-    extract_cfg, hyp_cfg, ver_cfg = _load_configs(args.config)
-    _print_effective(args, extract_cfg, hyp_cfg, ver_cfg)
+    _, hyp_cfg, ver_cfg = _configs(args)
     ref = _parse_edgeset_file(args.ref)
     probe = _parse_edgeset_file(args.probe)
     result = match(ref, probe, hyp_cfg, ver_cfg)
@@ -118,9 +113,7 @@ def cmd_overlay(args) -> int:
     ref = _parse_edgeset_file(args.ref)
     probe = _parse_edgeset_file(args.probe)
     try:
-        doc = json.loads(Path(args.result).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.result}: {exc}") from None
+        doc = json.loads(_read(args.result).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"match result is not valid JSON: {exc}") from None
     result = MatchResult.from_json_dict(doc)
@@ -167,23 +160,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, kind) -> list:
     try:
-        return [float(t) for t in text.split(",") if t != ""]
-    except ValueError:
-        raise ConfigError(f"invalid {what} list {text!r}") from None
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t != ""]
+        return [kind(t) for t in text.split(",") if t != ""]
     except ValueError:
         raise ConfigError(f"invalid {what} list {text!r}") from None
 
 
 def cmd_mc(args) -> int:
-    ps = _parse_float_list(args.p, "--p")
-    ms = _parse_int_list(args.m, "--m")
+    ps = _parse_list(args.p, "--p", float)
+    ms = _parse_list(args.m, "--m", int)
     if not ps or not ms:
         raise ConfigError("--p and --m must each list at least one value")
     lines = ["p,m,closed_form,mc_estimate,stderr"]
@@ -216,8 +202,7 @@ def cmd_gallery_enroll(args) -> int:
 
 
 def cmd_gallery_search(args) -> int:
-    extract_cfg, hyp_cfg, ver_cfg = _load_configs(args.config)
-    _print_effective(args, extract_cfg, hyp_cfg, ver_cfg)
+    _, hyp_cfg, ver_cfg = _configs(args)
     gallery = load_gallery(args.root)
     probe = _parse_edgeset_file(args.probe)
     results = search(gallery, probe, hyp_cfg, ver_cfg)
@@ -243,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Only the commands that read the configs take --config and --verbose.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file with sections "
                         "extract / hypothesis / verify")
@@ -262,16 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the match result JSON here")
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("overlay", parents=[common],
-                       help="render a match as an SVG overlay")
+    p = sub.add_parser("overlay", help="render a match as an SVG overlay")
     p.add_argument("ref", help="reference .edgeset")
     p.add_argument("probe", help="probe .edgeset")
     p.add_argument("result", help="match result JSON")
     p.add_argument("--out", required=True, help="output .svg path")
     p.set_defaults(func=cmd_overlay)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a reference/probe edge-set pair")
+    p = sub.add_parser("synth", help="generate a reference/probe edge-set pair")
     p.add_argument("--n", type=int, default=300, help="reference edge count")
     p.add_argument("--width", type=int, default=256)
     p.add_argument("--height", type=int, default=256)
@@ -289,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("mc", parents=[common],
-                       help="Monte Carlo sweep of the basis-miss risk")
+    p = sub.add_parser("mc", help="Monte Carlo sweep of the basis-miss risk")
     p.add_argument("--p", required=True, help="comma-separated miss probabilities")
     p.add_argument("--m", required=True, help="comma-separated couple counts")
     p.add_argument("--trials", type=int, default=1_000_000)
@@ -304,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gallery", help="enroll into or search a model gallery")
     gsub = p.add_subparsers(dest="gallery_command", required=True)
 
-    g = gsub.add_parser("enroll", parents=[common], help="add an edge set")
+    g = gsub.add_parser("enroll", help="add an edge set")
     g.add_argument("edgeset", help=".edgeset file to enroll")
     g.add_argument("--root", required=True, help="gallery directory")
     g.add_argument("--id", required=True, help="unique model id")
@@ -325,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ frame.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,6 +49,22 @@ def angular_distance_array(a: np.ndarray, b) -> np.ndarray:
     """
     d = np.mod(np.abs(np.asarray(a, dtype=np.float64) - b), TWO_PI)
     return np.minimum(d, TWO_PI - d)
+
+
+def in_frame(x, y, width, height):
+    """Accept mask of the points in [0, width) x [0, height); NaN is outside."""
+    return (x >= 0.0) & (x < width) & (y >= 0.0) & (y < height)
+
+
+def by_confidence(conf: np.ndarray) -> np.ndarray:
+    """Indices in descending confidence, ties by lower index."""
+    return np.argsort(-conf, kind="stable")
+
+
+def require_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (a bool is not) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +151,7 @@ class EdgeSet:
             raise ValueError("edge columns must be 1-D and of equal length")
         # Each invariant as an accept mask, so that NaN fails every test.
         checks = (
-            ((c.x >= 0.0) & (c.x < width) & (c.y >= 0.0) & (c.y < height),
+            (in_frame(c.x, c.y, width, height),
              "position ({x}, {y}) outside " f"{width}x{height} frame"),
             ((c.theta >= 0.0) & (c.theta < TWO_PI), "theta {theta} outside [0, 2*pi)"),
             (np.isfinite(c.kappa), "kappa {kappa} is not finite"),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import TWO_PI, EdgeSet, wrap_angle
+from .edges import TWO_PI, EdgeSet, in_frame, require_int, wrap_angle
 from .image_io import GrayImage
 
 # Gradient magnitudes below this are treated as flat: no orientation, no
@@ -52,8 +52,8 @@ class EdgeExtractionConfig:
             raise ValueError("mag_threshold_rel must lie in (0, 1)")
         if not (self.curvature_max > 0.0):
             raise ValueError("curvature_max must be positive")
-        if self.border_margin is not None and self.border_margin < 0:
-            raise ValueError("border_margin must be non-negative")
+        if self.border_margin is not None:
+            require_int("border_margin", self.border_margin, 0)
 
     def resolved_margin(self) -> int:
         if self.border_margin is not None:
@@ -226,7 +226,7 @@ def extract_edges(img: GrayImage, cfg: EdgeExtractionConfig | None = None) -> Ed
     d = delta[ys_k, xs_k]
     ex = xs_k + d * dirx[ys_k, xs_k]
     ey = ys_k + d * diry[ys_k, xs_k]
-    inside = (ex >= 0.0) & (ex < w) & (ey >= 0.0) & (ey < h)
+    inside = in_frame(ex, ey, w, h)
     ys_k, xs_k = ys_k[inside], xs_k[inside]
     return EdgeSet.from_arrays(
         w,

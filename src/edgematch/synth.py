@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Transform
-from .edges import TWO_PI, EdgeSet, wrap_angle
+from .edges import TWO_PI, EdgeSet, in_frame, wrap_angle
 from .image_io import GrayImage
 
 
@@ -41,6 +41,16 @@ class CorruptionSpec:
             raise ValueError("clutter_frac must be non-negative")
 
 
+def _uniform_edges(rng: np.random.Generator, n: int, width: int, height: int):
+    """x, y, theta and confidence of n edges, drawn in that order: uniform
+    in the frame, on the circle, and in [0.5, 1]."""
+    x = np.minimum(rng.uniform(0.0, width, n), np.nextafter(float(width), 0.0))
+    y = np.minimum(rng.uniform(0.0, height, n), np.nextafter(float(height), 0.0))
+    theta = wrap_angle(rng.uniform(0.0, TWO_PI, n))
+    conf = np.minimum(rng.uniform(0.5, 1.0, n), 1.0)
+    return x, y, theta, conf
+
+
 def random_edge_set(n: int, width: int, height: int, seed: int = 0) -> EdgeSet:
     """n edges with uniform positions and orientations.
 
@@ -49,11 +59,7 @@ def random_edge_set(n: int, width: int, height: int, seed: int = 0) -> EdgeSet:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    rng = np.random.default_rng(seed)
-    x = np.minimum(rng.uniform(0.0, width, n), np.nextafter(float(width), 0.0))
-    y = np.minimum(rng.uniform(0.0, height, n), np.nextafter(float(height), 0.0))
-    theta = wrap_angle(rng.uniform(0.0, TWO_PI, n))
-    conf = np.minimum(rng.uniform(0.5, 1.0, n), 1.0)
+    x, y, theta, conf = _uniform_edges(np.random.default_rng(seed), n, width, height)
     return EdgeSet.from_arrays(width, height, x, y, theta, np.zeros(n), conf,
                                np.ones(n, dtype=bool))
 
@@ -90,15 +96,10 @@ def corrupt_and_transform(
     px, py = transform.invert(arr.x, arr.y)
     px, py = px + jx, py + jy
     theta = wrap_angle(arr.theta + jt)
-    keep = (~drop) & (px >= 0.0) & (px < out_width) & (py >= 0.0) & (py < out_height)
+    keep = (~drop) & in_frame(px, py, out_width, out_height)
 
     n_clutter = int(math.floor(spec.clutter_frac * int(keep.sum()) + 0.5))
-    cx = np.minimum(rng.uniform(0.0, out_width, n_clutter),
-                    np.nextafter(float(out_width), 0.0))
-    cy = np.minimum(rng.uniform(0.0, out_height, n_clutter),
-                    np.nextafter(float(out_height), 0.0))
-    ct = wrap_angle(rng.uniform(0.0, TWO_PI, n_clutter))
-    cc = np.minimum(rng.uniform(0.5, 1.0, n_clutter), 1.0)
+    cx, cy, ct, cc = _uniform_edges(rng, n_clutter, out_width, out_height)
     return EdgeSet.from_arrays(
         out_width,
         out_height,

@@ -17,6 +17,7 @@ inherits their jitter, while the refit averages it over every coincidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -26,7 +27,15 @@ from .basis import (
     enumerate_basis_pairs,
     find_compatible_pairs,
 )
-from .edges import EdgeSet, SpatialIndex, build_index, query_near_batch
+from .edges import (
+    EdgeSet,
+    SpatialIndex,
+    build_index,
+    by_confidence,
+    in_frame,
+    query_near_batch,
+    require_int,
+)
 
 
 @dataclass(frozen=True)
@@ -47,16 +56,14 @@ class VerifyConfig:
     def __post_init__(self):
         if self.eps_pos <= 0.0 or self.eps_theta <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.probe_count < 1:
-            raise ValueError("probe_count must be at least 1")
+        require_int("probe_count", self.probe_count, 1)
         if not (0.0 < self.miss_factor < 1.0):
             raise ValueError("miss_factor must lie in (0, 1)")
         if not (0.0 <= self.prune_threshold < 1.0):
             raise ValueError("prune_threshold must lie in [0, 1)")
         if not (0.0 < self.accept_score <= 1.0):
             raise ValueError("accept_score must lie in (0, 1]")
-        if self.max_branches < 1:
-            raise ValueError("max_branches must be at least 1")
+        require_int("max_branches", self.max_branches, 1)
 
 
 @dataclass
@@ -145,10 +152,6 @@ def _indices(v, n: int, name: str) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _visible_mask(ref: EdgeSet, mx: np.ndarray, my: np.ndarray) -> np.ndarray:
-    return (mx >= 0.0) & (mx < ref.width) & (my >= 0.0) & (my < ref.height)
-
-
 def count_coincidences(
     ref: EdgeSet,
     ref_index: SpatialIndex,
@@ -172,12 +175,12 @@ def count_coincidences(
     arr_n = probe.arrays()
     arr_a = ref.arrays()
     mx, my = transform.apply(arr_n.x, arr_n.y)
-    visible = _visible_mask(ref, mx, my)
+    visible = in_frame(mx, my, ref.width, ref.height)
     n_visible = int(visible.sum())
     denominator = len(ref) + n_visible
     if denominator == 0:
         return [], 0.0
-    order = np.lexsort((np.arange(len(probe)), -arr_n.confidence))
+    order = by_confidence(arr_n.confidence)
     order = order[visible[order]]
     # Query k is the probe edge of rank k; its candidates are tried nearest
     # first, ties by lower reference index.
@@ -222,7 +225,7 @@ def sequential_verify(
     if confidence < cfg.prune_threshold:
         return confidence, True
     arr_a = ref.arrays()
-    order = np.lexsort((np.arange(len(ref)), -arr_a.confidence))[: cfg.probe_count]
+    order = by_confidence(arr_a.confidence)[: cfg.probe_count]
     px, py = transform.invert(arr_a.x[order], arr_a.y[order])
     q, _ = query_near_batch(
         probe_index, probe, px, py, cfg.eps_pos / transform.s, arr_a.theta[order],
@@ -296,49 +299,39 @@ def match(
     bases = enumerate_basis_pairs(ref, hyp_cfg)
     probe_index = build_index(probe, ver_cfg.eps_pos)
     ref_index = build_index(ref, ver_cfg.eps_pos)
+    hypotheses = (
+        (bp, n_pair, t_raw)
+        for bp in bases
+        for n_pair, t_raw in find_compatible_pairs(probe, bp, ref, hyp_cfg)
+    )
     branches = 0
     best = None
-    done = False
-    for bp in bases:
-        if done or branches >= ver_cfg.max_branches:
-            break
-        e1 = ref.edges[bp.i]
-        e2 = ref.edges[bp.j]
-        for n_pair, t_raw in find_compatible_pairs(probe, bp, e1, e2, hyp_cfg):
-            if branches >= ver_cfg.max_branches:
-                break
-            branches += 1
-            confidence, pruned = sequential_verify(
-                ref, probe, probe_index, t_raw, bp.quality, ver_cfg
-            )
-            if pruned:
-                continue
-            pairs, score = count_coincidences(ref, ref_index, probe, t_raw, ver_cfg)
-            t_best, pairs_best, score_best = t_raw, pairs, score
-            t_ref = _refit_transform(ref, probe, pairs, hyp_cfg.s_min, hyp_cfg.s_max)
-            if t_ref is not None:
-                pairs_r, score_r = count_coincidences(ref, ref_index, probe, t_ref, ver_cfg)
-                if score_r >= score:
-                    t_best, pairs_best, score_best = t_ref, pairs_r, score_r
-            if best is None or score_best > best[0]:
-                best = (score_best, t_best, pairs_best, confidence, bp, n_pair)
-            if score_best >= ver_cfg.accept_score:
-                done = True
-                break
-    if best is None:
-        return MatchResult(
-            decided=False,
-            score=0.0,
-            transform=None,
-            matched_pairs=[],
-            counts=(0, len(ref), 0),
-            branches_tried=branches,
-            confidence=0.0,
-            basis=None,
+    for branches, (bp, n_pair, t_raw) in enumerate(
+        islice(hypotheses, ver_cfg.max_branches), start=1
+    ):
+        confidence, pruned = sequential_verify(
+            ref, probe, probe_index, t_raw, bp.quality, ver_cfg
         )
+        if pruned:
+            continue
+        pairs, score = count_coincidences(ref, ref_index, probe, t_raw, ver_cfg)
+        t_best, pairs_best, score_best = t_raw, pairs, score
+        t_ref = _refit_transform(ref, probe, pairs, hyp_cfg.s_min, hyp_cfg.s_max)
+        if t_ref is not None:
+            pairs_r, score_r = count_coincidences(ref, ref_index, probe, t_ref, ver_cfg)
+            if score_r >= score:
+                t_best, pairs_best, score_best = t_ref, pairs_r, score_r
+        if best is None or score_best > best[0]:
+            best = (score_best, t_best, pairs_best, confidence, bp, n_pair)
+        if score_best >= ver_cfg.accept_score:
+            break
+    if best is None:
+        return MatchResult(decided=False, score=0.0, transform=None,
+                           counts=(0, len(ref), 0), branches_tried=branches)
     score, transform, pairs, confidence, bp, n_pair = best
     arr_n = probe.arrays()
-    n_visible = int(_visible_mask(ref, *transform.apply(arr_n.x, arr_n.y)).sum())
+    mx, my = transform.apply(arr_n.x, arr_n.y)
+    n_visible = int(in_frame(mx, my, ref.width, ref.height).sum())
     return MatchResult(
         decided=score >= ver_cfg.accept_score,
         score=score,

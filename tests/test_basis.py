@@ -81,8 +81,10 @@ def test_hypothesis_config_validation():
         HypothesisConfig(eps_theta=0.0)
     with pytest.raises(ValueError):
         HypothesisConfig(min_sep_angle=2.0)
-    with pytest.raises(ValueError):
-        HypothesisConfig(max_pairs_n=0)
+    for bad in (dict(max_pairs_n=0), dict(max_basis_a=2.5), dict(max_pairs_n=2.5),
+                dict(max_basis_a=True)):
+        with pytest.raises(ValueError):
+            HypothesisConfig(**bad)
     assert HypothesisConfig(min_dist=7.0).resolved_min_dist(100.0) == 7.0
     assert HypothesisConfig().resolved_min_dist(100.0) == 15.0
 
@@ -232,9 +234,7 @@ def test_identity_pair_is_found_exactly():
     )
     cfg = HypothesisConfig(min_dist=10.0)
     basis = enumerate_basis_pairs(es, cfg)[0]
-    out = find_compatible_pairs(
-        es, basis, es.edges[basis.i], es.edges[basis.j], cfg
-    )
+    out = find_compatible_pairs(es, basis, es, cfg)
     (n1, n2), t = out[0]
     assert (n1, n2) == (basis.i, basis.j)
     assert (t.s, t.tx, t.ty) == (1.0, 0.0, 0.0)
@@ -247,10 +247,7 @@ def test_scale_and_shift_recovered_exactly():
     d = math.hypot(30.0, 40.0)
     phi = math.atan2(40.0, 30.0)
     basis = BasisPair(i=0, j=1, phi=phi, dist=d, quality=1.0)
-    out = find_compatible_pairs(
-        probe, basis, ref.edges[0], ref.edges[1],
-        HypothesisConfig(min_dist=10.0),
-    )
+    out = find_compatible_pairs(probe, basis, ref, HypothesisConfig(min_dist=10.0))
     assert len(out) == 1
     (n1, n2), t = out[0]
     assert (n1, n2) == (0, 1)
@@ -279,9 +276,7 @@ def test_find_compatible_matches_brute_force(ref_rows, probe_rows, cap, chunk):
     basis = bases[0]
     # Small chunks split the candidate matrix into many row blocks.
     with patch.object(basis_mod, "_CHUNK_CELLS", chunk):
-        got = find_compatible_pairs(
-            probe, basis, ref.edges[basis.i], ref.edges[basis.j], cfg
-        )
+        got = find_compatible_pairs(probe, basis, ref, cfg)
     expected = oracle_compatible_pairs(
         probe, basis.phi, basis.dist, ref.edges[basis.i], ref.edges[basis.j], cfg
     )
@@ -295,10 +290,7 @@ def test_find_compatible_respects_scale_window():
     # probe couple would need s = 100 / 10 = 10, far outside [0.5, 2]
     probe = EdgeSet(160, 160, (Edge(20.0, 20.0, 1.0), Edge(30.0, 20.0, 2.5)))
     basis = BasisPair(i=0, j=1, phi=0.0, dist=100.0, quality=1.0)
-    out = find_compatible_pairs(
-        probe, basis, ref.edges[0], ref.edges[1],
-        HypothesisConfig(min_dist=10.0),
-    )
+    out = find_compatible_pairs(probe, basis, ref, HypothesisConfig(min_dist=10.0))
     assert out == []
 
 
@@ -306,10 +298,6 @@ def test_find_compatible_on_tiny_probe_sets():
     ref = EdgeSet(160, 160, (Edge(20.0, 20.0, 1.0), Edge(120.0, 20.0, 2.5)))
     basis = BasisPair(i=0, j=1, phi=0.0, dist=100.0, quality=1.0)
     empty = EdgeSet(160, 160, ())
-    assert find_compatible_pairs(
-        empty, basis, ref.edges[0], ref.edges[1]
-    ) == []
+    assert find_compatible_pairs(empty, basis, ref) == []
     single = EdgeSet(160, 160, (Edge(5.0, 5.0, 1.0),))
-    assert find_compatible_pairs(
-        single, basis, ref.edges[0], ref.edges[1]
-    ) == []
+    assert find_compatible_pairs(single, basis, ref) == []

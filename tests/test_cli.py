@@ -94,8 +94,16 @@ def test_garbage_edgeset_is_a_clean_error(tmp_path, capsys):
 
 def test_unknown_flag_exits_with_usage_error(capsys):
     # --seed belongs to synth and mc only: nothing else draws random numbers.
+    # --config belongs to extract, match and gallery search only: nothing
+    # else reads the configs.
     for argv in (["match", "--nope"],
-                 ["match", "--ref", "a.edgeset", "--probe", "b.edgeset", "--seed", "3"]):
+                 ["match", "--ref", "a.edgeset", "--probe", "b.edgeset", "--seed", "3"],
+                 ["overlay", "a.edgeset", "b.edgeset", "r.json", "--out", "o.svg",
+                  "--config", "c.json"],
+                 SYNTH_ARGS + ["--out", "x", "--config", "c.json"],
+                 ["mc", "--p", "0.1", "--m", "5", "--config", "c.json"],
+                 ["gallery", "enroll", "a.edgeset", "--root", "g", "--id", "a",
+                  "--config", "c.json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -277,7 +285,16 @@ def test_config_rejects_unknown_section(self_pair, tmp_path, capsys):
 def test_config_rejects_invalid_values(self_pair, tmp_path, capsys):
     ref, probe = self_pair
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"verify": {"miss_factor": 1.5}}))
-    rc = main(["match", "--ref", ref, "--probe", probe, "--config", str(cfg)])
-    assert rc == 2
-    assert "invalid config section" in capsys.readouterr().err
+    # The budgets are integers: 2.5 once crashed with a TypeError or was
+    # silently accepted.
+    for doc in ({"verify": {"miss_factor": 1.5}},
+                {"hypothesis": {"max_basis_a": 2.5}},
+                {"hypothesis": {"max_pairs_n": 2.5}},
+                {"verify": {"probe_count": 2.5}},
+                {"verify": {"max_branches": 2.5}},
+                {"extract": {"border_margin": 2.5}},
+                {"verify": {"max_branches": True}}):
+        cfg.write_text(json.dumps(doc))
+        rc = main(["match", "--ref", ref, "--probe", probe, "--config", str(cfg)])
+        assert rc == 2, doc
+        assert "invalid config section" in capsys.readouterr().err

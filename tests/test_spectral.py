@@ -212,8 +212,9 @@ def test_extraction_config_validation():
         EdgeExtractionConfig(mag_threshold_rel=0.0)
     with pytest.raises(ValueError):
         EdgeExtractionConfig(curvature_max=-0.1)
-    with pytest.raises(ValueError):
-        EdgeExtractionConfig(border_margin=-1)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError):
+            EdgeExtractionConfig(border_margin=bad)
     assert EdgeExtractionConfig(sigma=1.5).resolved_margin() == 6
     assert EdgeExtractionConfig(border_margin=3).resolved_margin() == 3
 

@@ -70,6 +70,9 @@ def test_verify_config_validation():
         dict(accept_score=0.0),
         dict(accept_score=1.1),
         dict(max_branches=0),
+        dict(probe_count=2.5),
+        dict(max_branches=2.5),
+        dict(max_branches=True),
     ):
         with pytest.raises(ValueError):
             VerifyConfig(**bad)
