@@ -143,14 +143,8 @@ def cmd_synth(args) -> int:
         "seed": args.seed,
         "n": args.n,
         "frames": {"ref": [args.width, args.height], "probe": [pw, ph]},
-        "transform": {"s": transform.s, "tx": transform.tx, "ty": transform.ty},
-        "corruption": {
-            "dropout": spec.dropout,
-            "jitter_pos": spec.jitter_pos,
-            "jitter_theta": spec.jitter_theta,
-            "clutter_frac": spec.clutter_frac,
-            "seed": spec.seed,
-        },
+        "transform": dataclasses.asdict(transform),
+        "corruption": dataclasses.asdict(spec),
     }
     _write_text(prefix + ".meta.json", json.dumps(meta, indent=2) + "\n")
     print(

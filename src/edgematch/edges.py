@@ -143,8 +143,8 @@ class EdgeSet:
         return es
 
     def _assign(self, width, height, x, y, theta, kappa, confidence, reliable) -> None:
-        if width < 1 or height < 1:
-            raise ValueError("frame dimensions must be at least 1x1")
+        require_int("width", width, 1)
+        require_int("height", height, 1)
         f64 = [np.array(v, dtype=np.float64) for v in (x, y, theta, kappa, confidence)]
         c = EdgeArrays(*f64, np.array(reliable, dtype=bool))
         if any(v.ndim != 1 or v.shape != c.x.shape for v in c):

@@ -6,7 +6,7 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -110,16 +110,7 @@ def load_gallery(root: str | Path) -> Gallery:
 
 
 def _manifest_bytes(entries: list[GalleryEntry]) -> bytes:
-    doc = [
-        {
-            "id": e.id,
-            "file": e.file,
-            "source": e.source,
-            "edge_count": e.edge_count,
-            "enrolled_at": e.enrolled_at,
-        }
-        for e in entries
-    ]
+    doc = [asdict(e) for e in entries]
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 

@@ -65,14 +65,11 @@ class EdgeExtractionConfig:
 class GradientField:
     """First and second smoothed derivative rasters of one image."""
 
-    width: int
-    height: int
     gx: np.ndarray
     gy: np.ndarray
     fxx: np.ndarray
     fxy: np.ndarray
     fyy: np.ndarray
-    sigma: float
 
 
 def _freqs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,10 +122,7 @@ def spectral_gradient(img: GrayImage, sigma: float) -> GradientField:
     fxx = back(-(U * U) * spectrum)
     fxy = back(-(U * V) * spectrum)
     fyy = back(-(V * V) * spectrum)
-    return GradientField(
-        width=img.width, height=img.height, gx=gx, gy=gy, fxx=fxx, fxy=fxy, fyy=fyy,
-        sigma=sigma,
-    )
+    return GradientField(gx=gx, gy=gy, fxx=fxx, fxy=fxy, fyy=fyy)
 
 
 def isophote_curvature(field: GradientField) -> np.ndarray:
@@ -169,10 +163,11 @@ def _bilinear_periodic(a: np.ndarray, xq: np.ndarray, yq: np.ndarray) -> np.ndar
 def extract_edges(img: GrayImage, cfg: EdgeExtractionConfig | None = None) -> EdgeSet:
     """Detect oriented edges with subpixel positions.
 
-    Pipeline: spectral gradient at cfg.sigma, gradient magnitude, non-maximum
-    suppression against the two bilinearly interpolated neighbors one pixel
-    away along the gradient direction, a relative magnitude threshold plus a
-    border margin, then a quadratic fit along the gradient for the subpixel
+    Pipeline: spectral gradient at cfg.sigma, gradient magnitude, a relative
+    magnitude threshold plus a border margin that select the candidate
+    pixels, then on the candidates only: non-maximum suppression against the
+    two bilinearly interpolated neighbors one pixel away along the gradient
+    direction and a quadratic fit along the gradient for the subpixel
     offset.  Orientation is the gradient angle rotated by +pi/2, kept on the
     full circle so inverting contrast flips every orientation by pi.
     Confidence is magnitude over the global maximum; edges are reliable when
@@ -186,55 +181,28 @@ def extract_edges(img: GrayImage, cfg: EdgeExtractionConfig | None = None) -> Ed
     mag = np.sqrt(gx * gx + gy * gy)
     h, w = mag.shape
     mag_max = float(mag.max())
-    if mag_max <= DEGENERATE_GRADIENT:
-        return EdgeSet(w, h)
 
-    safe = np.where(mag > 0.0, mag, 1.0)
-    dirx = gx / safe
-    diry = gy / safe
-    ys_grid, xs_grid = np.mgrid[0:h, 0:w]
-    xf = xs_grid.astype(np.float64)
-    yf = ys_grid.astype(np.float64)
-    m_plus = _bilinear_periodic(mag, xf + dirx, yf + diry)
-    m_minus = _bilinear_periodic(mag, xf - dirx, yf - diry)
-
+    # Every later step is elementwise, so it runs on the candidates alone.
+    candidate = (mag >= cfg.mag_threshold_rel * mag_max) & (mag > DEGENERATE_GRADIENT)
     margin = cfg.resolved_margin()
-    interior = (
-        (xs_grid >= margin)
-        & (xs_grid < w - margin)
-        & (ys_grid >= margin)
-        & (ys_grid < h - margin)
-    )
-    keep = (
-        (mag >= m_plus)
-        & (mag >= m_minus)
-        & (mag >= cfg.mag_threshold_rel * mag_max)
-        & (mag > DEGENERATE_GRADIENT)
-        & interior
-    )
+    candidate[:margin] = candidate[h - margin:] = False
+    candidate[:, :margin] = candidate[:, w - margin:] = False
+    ys, xs = np.nonzero(candidate)
+    cgx, cgy, cmag, ckappa = gx[ys, xs], gy[ys, xs], mag[ys, xs], kappa[ys, xs]
 
-    denom = m_plus + m_minus - 2.0 * mag
-    delta = np.divide(m_minus - m_plus, 2.0 * denom, out=np.zeros_like(mag),
+    dirx = cgx / cmag
+    diry = cgy / cmag
+    m_plus = _bilinear_periodic(mag, xs + dirx, ys + diry)
+    m_minus = _bilinear_periodic(mag, xs - dirx, ys - diry)
+    denom = m_plus + m_minus - 2.0 * cmag
+    delta = np.divide(m_minus - m_plus, 2.0 * denom, out=np.zeros_like(cmag),
                       where=np.abs(denom) > 1e-12 * mag_max)
     delta = np.clip(delta, -0.5, 0.5)
+    ex = xs + delta * dirx
+    ey = ys + delta * diry
+    keep = (cmag >= m_plus) & (cmag >= m_minus) & in_frame(ex, ey, w, h)
 
-    theta = wrap_angle(np.arctan2(gy, gx) + 0.5 * np.pi)
-    confidence = mag / mag_max
-    reliable = np.abs(kappa) <= cfg.curvature_max
-
-    ys_k, xs_k = np.nonzero(keep)
-    d = delta[ys_k, xs_k]
-    ex = xs_k + d * dirx[ys_k, xs_k]
-    ey = ys_k + d * diry[ys_k, xs_k]
-    inside = in_frame(ex, ey, w, h)
-    ys_k, xs_k = ys_k[inside], xs_k[inside]
-    return EdgeSet.from_arrays(
-        w,
-        h,
-        ex[inside],
-        ey[inside],
-        theta[ys_k, xs_k],
-        kappa[ys_k, xs_k],
-        confidence[ys_k, xs_k],
-        reliable[ys_k, xs_k],
-    )
+    theta = wrap_angle(np.arctan2(cgy, cgx) + 0.5 * np.pi)
+    reliable = np.abs(ckappa) <= cfg.curvature_max
+    cols = (ex, ey, theta, ckappa, cmag / mag_max, reliable)
+    return EdgeSet.from_arrays(w, h, *(c[keep] for c in cols))

@@ -16,7 +16,7 @@ inherits their jitter, while the refit averages it over every coincidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -90,11 +90,7 @@ class MatchResult:
             "version": 1,
             "decided": self.decided,
             "score": self.score,
-            "transform": (
-                {"s": self.transform.s, "tx": self.transform.tx, "ty": self.transform.ty}
-                if self.transform is not None
-                else None
-            ),
+            "transform": asdict(self.transform) if self.transform is not None else None,
             "matched_pairs": [[a, n] for a, n in self.matched_pairs],
             "counts": list(self.counts),
             "branches_tried": self.branches_tried,

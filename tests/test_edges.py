@@ -135,6 +135,17 @@ def test_edgeset_rejects_out_of_frame():
     assert len(EdgeSet.from_arrays(64, 64, *columns([(edge, edge, 0.5, 0.0, 1.0, True)]))) == 1
 
 
+@pytest.mark.parametrize("width", [100.5, True, 0])
+def test_edgeset_rejects_non_integer_frame(width):
+    # A fractional width used to build a set whose serialized header
+    # "100.5 100 1" parse then rejected.
+    for w, h in ((width, 100), (100, width)):
+        with pytest.raises(ValueError, match="must be an integer of at least 1"):
+            EdgeSet.from_arrays(w, h, *columns([GOOD_ROW]))
+        with pytest.raises(ValueError, match="must be an integer of at least 1"):
+            EdgeSet(w, h, ())
+
+
 def test_edgeset_columns_and_rows_agree():
     rows = [(3.5, 4.25, 1.5, -0.01, 0.25, False), (10.0, 20.0, 6.0, 0.5, 1.0, True)]
     es = EdgeSet.from_arrays(64, 32, *columns(rows))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from edgematch import (
     extract_edges,
     isophote_curvature,
     render_shapes,
+    serialize,
     spectral_gradient,
 )
 from edgematch.edges import TWO_PI
@@ -112,8 +114,9 @@ def test_curvature_zero_on_constant_image():
 # ------------------------------------------------------------ extraction
 
 
-def test_constant_image_has_no_edges():
-    es = extract_edges(GrayImage.from_array(np.full((32, 32), 0.7)))
+@pytest.mark.parametrize("value", [0.0, 0.7, 1.0])
+def test_constant_image_has_no_edges(value):
+    es = extract_edges(GrayImage.from_array(np.full((32, 32), value)))
     assert len(es) == 0
     assert (es.width, es.height) == (32, 32)
 
@@ -231,3 +234,36 @@ def test_extract_emits_no_floating_point_warnings():
         warnings.simplefilter("error")
         es = extract_edges(img, EdgeExtractionConfig(sigma=2.5))
     assert len(es) > 0
+
+
+# sha256 of serialize(extract_edges(...)) on the scene below for each config
+# (numpy 2.x, x86-64).  The faint disk only passes the 0.05 threshold, and
+# the rectangle on the left border meets the periodic wrap at margin 0; a
+# 50 px margin is wider than half the 96 px frame, so nothing is left.
+EXTRACT_SWEEP = [
+    ({"sigma": 1.0}, "d8c8ad6e08580cc34c137229f6f9c3cc66296a9f8f86e1d6c6289750f2aa6561"),
+    ({"sigma": 2.0}, "9787de8029c766ad5fdb718764bbc9c6140a7709f8f83fcf80b0cc68488ad1b4"),
+    ({"sigma": 3.5}, "11914446af7b8a5ead6a6f988ce0c2c90e2b1d69bda752c6f19f5e78563b5920"),
+    ({"border_margin": 0},
+     "659ee678808f202cab2c7d1a30b23de91b45844286a783f5614f813f73ea3251"),
+    ({"border_margin": 50},
+     "40fcdf66072f056ce6cc7bec659f0cf16e92a8564fb05326c4e03772ccd9c049"),
+    ({"mag_threshold_rel": 0.05},
+     "71d300467ccff635d3e48abe75837658b30b5bd16d6efbca504ad396492062a3"),
+    ({"curvature_max": 0.01},
+     "867f55a151214f7e2241295ee99957dbfcf2e33c3e285335fe9b054a2eb26185"),
+]
+
+
+@pytest.mark.parametrize("overrides, digest", EXTRACT_SWEEP,
+                         ids=[f"{k}={v}" for o, _ in EXTRACT_SWEEP for k, v in o.items()])
+def test_extraction_sweep_digests_pinned(overrides, digest):
+    img = render_shapes(128, 96, (
+        Disk(cx=40.0, cy=48.0, r=20.0, intensity=1.0),
+        Disk(cx=96.0, cy=30.0, r=12.0, intensity=0.7),
+        Rect(x0=70.0, y0=50.0, w=40.0, h=30.0, intensity=0.6),
+        Rect(x0=-0.5, y0=70.0, w=30.0, h=25.5, intensity=0.8),
+        Disk(cx=22.0, cy=20.0, r=10.0, intensity=0.2),
+    ), background=0.1)
+    es = extract_edges(img, EdgeExtractionConfig(**overrides))
+    assert hashlib.sha256(serialize(es)).hexdigest() == digest
