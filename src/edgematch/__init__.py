@@ -17,8 +17,6 @@ from .edges import (
     Edge,
     EdgeSet,
     EdgeSetFormatError,
-    SpatialIndex,
-    build_index,
     parse,
     query_near_batch,
     serialize,
@@ -82,10 +80,8 @@ __all__ = [
     "PgmFormatError",
     "ProbabilityParams",
     "Rect",
-    "SpatialIndex",
     "Transform",
     "VerifyConfig",
-    "build_index",
     "corrupt_and_transform",
     "count_coincidences",
     "enroll",

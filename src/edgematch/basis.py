@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import TWO_PI, EdgeSet, angular_distance_array, by_confidence, require_int, wrap_angle
+from .edges import TWO_PI, EdgeSet, angular_distance_array, require_int, wrap_angle
 
 _PI = math.pi
 
@@ -129,19 +129,18 @@ def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> l
     if cfg is None:
         cfg = HypothesisConfig()
     arr = es.arrays()
-    rel = np.nonzero(arr.reliable)[0]
-    n = rel.size
+    perm = es.ranked[arr.reliable[es.ranked]]  # rank -> edge index
+    n = perm.size
     if n < 2:
         return []
     diag = es.frame_diagonal
     half_diag = diag / 2.0
     min_dist = cfg.resolved_min_dist(diag)
     min_sep = cfg.min_sep_angle
-    x, y, th, conf = arr.x[rel], arr.y[rel], arr.theta[rel], arr.confidence[rel]
-    perm = by_confidence(conf)  # rank -> local index
+    x, y, th, conf = arr.x, arr.y, arr.theta, arr.confidence
     cs = conf[perm]
     k = cfg.max_basis_a
-    best = np.empty((0, 5))  # rows (quality, i, j, phi, dist), local i < j
+    best = np.empty((0, 5))  # rows (quality, i, j, phi, dist), i < j
     floor = -np.inf  # the k-th best quality so far
 
     def add(r, c):
@@ -183,11 +182,8 @@ def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> l
         rr, cc = np.nonzero((c > r) & (cs[r] * cs[c] >= floor))
         add(rr + r0, cc + c0)
         r0 = r1
-    return [
-        BasisPair(i=int(rel[int(i)]), j=int(rel[int(j)]), phi=float(phi), dist=float(d),
-                  quality=float(q))
-        for q, i, j, phi, d in best
-    ]
+    return [BasisPair(i=int(i), j=int(j), phi=float(phi), dist=float(d), quality=float(q))
+            for q, i, j, phi, d in best]
 
 
 def find_compatible_pairs(

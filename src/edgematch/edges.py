@@ -1,5 +1,5 @@
 """Oriented point-edge sets: the core representation, text serialization, and
-a uniform-grid spatial index.
+a uniform-grid spatial index that each set builds for itself.
 
 An edge is an unchained local feature: a subpixel position, a tangent
 orientation on the full circle (so contrast polarity is preserved), a signed
@@ -14,6 +14,7 @@ import math
 import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -54,11 +55,6 @@ def angular_distance_array(a: np.ndarray, b) -> np.ndarray:
 def in_frame(x, y, width, height):
     """Accept mask of the points in [0, width) x [0, height); NaN is outside."""
     return (x >= 0.0) & (x < width) & (y >= 0.0) & (y < height)
-
-
-def by_confidence(conf: np.ndarray) -> np.ndarray:
-    """Indices in descending confidence, ties by lower index."""
-    return np.argsort(-conf, kind="stable")
 
 
 def require_int(name: str, value, least: int) -> None:
@@ -123,7 +119,9 @@ class EdgeSet:
     The edges are held as six validated columns (:class:`EdgeArrays`),
     returned by :meth:`arrays`; :attr:`edges` views them as rows.  Build a
     set from columns with :meth:`from_arrays`, or from :class:`Edge` rows
-    with ``EdgeSet(width, height, edges)``.  Treated as immutable.
+    with ``EdgeSet(width, height, edges)``.  Treated as immutable, so the
+    confidence ranking (:attr:`ranked`) and the grid over the positions
+    (:attr:`grid`) are computed once, on first use.
     """
 
     def __init__(self, width: int, height: int, edges: Iterable[Edge] = ()):
@@ -179,6 +177,18 @@ class EdgeSet:
     @property
     def edges(self) -> Sequence[Edge]:
         return _EdgeRows(self._cache)
+
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        """Edge indices in descending confidence, ties by lower index; shared,
+        do not modify."""
+        return np.argsort(-self._cache.confidence, kind="stable")
+
+    @cached_property
+    def grid(self) -> SpatialIndex:
+        """The :func:`build_index` grid of the positions; shared, do not
+        modify."""
+        return build_index(self)
 
     @property
     def frame_diagonal(self) -> float:
@@ -294,10 +304,9 @@ class SpatialIndex:
     The frame is cut into nx x ny square cells of side cell_size; cell
     (cx, cy) has the number cy * nx + cx.  order lists the edge indices
     sorted by cell (ascending within a cell), and the edges of cell k are
-    order[offsets[k]:offsets[k + 1]].  cell_size is at least the size
-    requested from :func:`build_index`, enlarged where needed so that the
-    grid has O(len(edges)) cells; any cell size gives the same query
-    results, as the exact predicates follow the cell lookup.
+    order[offsets[k]:offsets[k + 1]].  :func:`build_index` sizes the cells
+    from the edge density; any cell size gives the same query results, as
+    the exact predicates follow the cell lookup.
     """
 
     cell_size: float
@@ -307,15 +316,14 @@ class SpatialIndex:
     offsets: np.ndarray
 
 
-def build_index(es: EdgeSet, cell_size: float) -> SpatialIndex:
-    """Grid index of the edge positions, with cells at least cell_size wide."""
-    if not (cell_size > 0.0 and math.isfinite(cell_size)):
-        raise ValueError("cell_size must be positive and finite")
+def build_index(es: EdgeSet) -> SpatialIndex:
+    """Grid index of the edge positions, with O(len(es)) cells; read it as
+    ``es.grid``, which builds it once."""
     # nx * ny <= (w/c + 1) * (h/c + 1) <= 3 * limit + 1, as each of
     # w*h/c^2, w/c and h/c is at most limit.
     limit = 4 * len(es) + 16
     w, h = es.width, es.height
-    cell = max(cell_size, math.sqrt(w * h / limit), max(w, h) / limit)
+    cell = max(math.sqrt(w * h / limit), max(w, h) / limit)
     nx, ny = math.ceil(w / cell), math.ceil(h / cell)
     arr = es.arrays()
     key = _cell_of(arr.y, cell, ny) * nx + _cell_of(arr.x, cell, nx)
@@ -336,7 +344,6 @@ def _segment_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def query_near_batch(
-    index: SpatialIndex,
     es: EdgeSet,
     x,
     y,
@@ -350,12 +357,14 @@ def query_near_batch(
     Returns two int64 arrays sorted by query, then edge.  The distance
     predicate is evaluated as dx*dx + dy*dy <= radius*radius; results are
     identical to a full scan applying the same tests, for any point,
-    including points outside the frame.
+    including points outside the frame.  Looks the candidates up in
+    ``es.grid``.
     """
     if radius < 0.0:
         raise ValueError("radius must be non-negative")
     qx, qy = pts = np.array([x, y], dtype=np.float64).reshape(2, -1)
     qt = np.asarray(theta, dtype=np.float64)
+    index = es.grid
     size = np.array([[index.nx], [index.ny]])
     # Widen the window past the rounding of the distance predicate.
     pad = radius + 1e-9 * (1.0 + radius + np.abs(pts).max(axis=0))

@@ -145,14 +145,12 @@ def save_pgm(img: GrayImage, ascii: bool = False) -> bytes:
     if not ascii:
         return header + q.tobytes()
     out_lines = []
-    for row in q:
-        line = ""
-        for v in row:
-            tok = str(int(v))
-            if line and len(line) + 1 + len(tok) > 70:
-                out_lines.append(line)
-                line = tok
-            else:
-                line = tok if not line else line + " " + tok
+    for row in q.tolist():
+        line = " ".join(map(str, row))
+        # Break at the last space that leaves at most 70 characters.
+        while len(line) > 70:
+            cut = line.rindex(" ", 0, 71)
+            out_lines.append(line[:cut])
+            line = line[cut + 1:]
         out_lines.append(line)
     return header + ("\n".join(out_lines) + "\n").encode("ascii")

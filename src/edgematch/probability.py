@@ -90,22 +90,11 @@ def monte_carlo_miss(
         raise ValueError("edges_per_couple must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    spans = []
-    start = 0
-    chunk_id = 0
-    while start < trials:
-        size = min(CHUNK_TRIALS, trials - start)
-        spans.append((chunk_id, size))
-        start += size
-        chunk_id += 1
     p, m, k = params.p, params.m, edges_per_couple
-    if workers == 1:
-        misses = sum(_chunk_misses(seed, cid, size, p, m, k) for cid, size in spans)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            misses = sum(
-                pool.map(lambda sp: _chunk_misses(seed, sp[0], sp[1], p, m, k), spans)
-            )
+    sizes = [min(CHUNK_TRIALS, trials - start) for start in range(0, trials, CHUNK_TRIALS)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        misses = sum(pool.map(lambda cid, size: _chunk_misses(seed, cid, size, p, m, k),
+                              range(len(sizes)), sizes))
     estimate = misses / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
     return estimate, stderr

@@ -63,7 +63,9 @@ class EdgeExtractionConfig:
 
 @dataclass
 class GradientField:
-    """First and second smoothed derivative rasters of one image."""
+    """First and second smoothed derivatives of one image: the full rasters
+    of :func:`spectral_gradient`, or samples of them taken at the same
+    points."""
 
     gx: np.ndarray
     gy: np.ndarray
@@ -126,11 +128,13 @@ def spectral_gradient(img: GrayImage, sigma: float) -> GradientField:
 
 
 def isophote_curvature(field: GradientField) -> np.ndarray:
-    """Signed curvature of the iso-intensity line through each pixel.
+    """Signed curvature of the iso-intensity line through each sample.
 
     kappa = (gy^2 fxx - 2 gx gy fxy + gx^2 fyy) / (gx^2 + gy^2)^(3/2),
     with kappa = 0 wherever the gradient magnitude is degenerate.  For a
     radially symmetric intensity profile |kappa| at radius r is exactly 1/r.
+    Works elementwise, so the five arrays may be full rasters or samples of
+    them, of any one shape.
     """
     gx, gy = field.gx, field.gy
     g2 = gx * gx + gy * gy
@@ -165,18 +169,18 @@ def extract_edges(img: GrayImage, cfg: EdgeExtractionConfig | None = None) -> Ed
 
     Pipeline: spectral gradient at cfg.sigma, gradient magnitude, a relative
     magnitude threshold plus a border margin that select the candidate
-    pixels, then on the candidates only: non-maximum suppression against the
-    two bilinearly interpolated neighbors one pixel away along the gradient
-    direction and a quadratic fit along the gradient for the subpixel
-    offset.  Orientation is the gradient angle rotated by +pi/2, kept on the
-    full circle so inverting contrast flips every orientation by pi.
+    pixels, then on the candidates only: the isophote curvature,
+    non-maximum suppression against the two bilinearly interpolated
+    neighbors one pixel away along the gradient direction and a quadratic
+    fit along the gradient for the subpixel offset.  Orientation is the
+    gradient angle rotated by +pi/2, kept on the full circle so inverting
+    contrast flips every orientation by pi.
     Confidence is magnitude over the global maximum; edges are reliable when
     |kappa| <= cfg.curvature_max.  At most one edge per pixel, in scan order.
     """
     if cfg is None:
         cfg = EdgeExtractionConfig()
     field = spectral_gradient(img, cfg.sigma)
-    kappa = isophote_curvature(field)
     gx, gy = field.gx, field.gy
     mag = np.sqrt(gx * gx + gy * gy)
     h, w = mag.shape
@@ -188,7 +192,9 @@ def extract_edges(img: GrayImage, cfg: EdgeExtractionConfig | None = None) -> Ed
     candidate[:margin] = candidate[h - margin:] = False
     candidate[:, :margin] = candidate[:, w - margin:] = False
     ys, xs = np.nonzero(candidate)
-    cgx, cgy, cmag, ckappa = gx[ys, xs], gy[ys, xs], mag[ys, xs], kappa[ys, xs]
+    cgx, cgy, cmag = gx[ys, xs], gy[ys, xs], mag[ys, xs]
+    ckappa = isophote_curvature(GradientField(
+        cgx, cgy, field.fxx[ys, xs], field.fxy[ys, xs], field.fyy[ys, xs]))
 
     dirx = cgx / cmag
     diry = cgy / cmag

@@ -177,7 +177,8 @@ def render_shapes(
     ss = 4
     xs = (np.arange(width * ss) + 0.5) / ss - 0.5
     ys = (np.arange(height * ss) + 0.5) / ss - 0.5
-    X, Y = np.meshgrid(xs, ys)
+    # A row and a column that broadcast to the supersampled grid.
+    X, Y = xs[np.newaxis, :], ys[:, np.newaxis]
     canvas = np.full((height * ss, width * ss), float(background))
     for s in shapes:
         if isinstance(s, Disk):

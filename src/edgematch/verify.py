@@ -27,15 +27,7 @@ from .basis import (
     enumerate_basis_pairs,
     find_compatible_pairs,
 )
-from .edges import (
-    EdgeSet,
-    SpatialIndex,
-    build_index,
-    by_confidence,
-    in_frame,
-    query_near_batch,
-    require_int,
-)
+from .edges import EdgeSet, in_frame, query_near_batch, require_int
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,6 @@ def _indices(v, n: int, name: str) -> tuple[int, ...]:
 
 def count_coincidences(
     ref: EdgeSet,
-    ref_index: SpatialIndex,
     probe: EdgeSet,
     transform: Transform,
     cfg: VerifyConfig | None = None,
@@ -176,14 +167,11 @@ def count_coincidences(
     denominator = len(ref) + n_visible
     if denominator == 0:
         return [], 0.0
-    order = by_confidence(arr_n.confidence)
-    order = order[visible[order]]
+    order = probe.ranked[visible[probe.ranked]]
     # Query k is the probe edge of rank k; its candidates are tried nearest
     # first, ties by lower reference index.
     qx, qy = mx[order], my[order]
-    rank, cand = query_near_batch(
-        ref_index, ref, qx, qy, cfg.eps_pos, arr_n.theta[order], cfg.eps_theta
-    )
+    rank, cand = query_near_batch(ref, qx, qy, cfg.eps_pos, arr_n.theta[order], cfg.eps_theta)
     dx = arr_a.x[cand] - qx[rank]
     dy = arr_a.y[cand] - qy[rank]
     by = np.lexsort((cand, dx * dx + dy * dy, rank))
@@ -202,7 +190,6 @@ def count_coincidences(
 def sequential_verify(
     ref: EdgeSet,
     probe: EdgeSet,
-    probe_index: SpatialIndex,
     transform: Transform,
     initial_confidence: float,
     cfg: VerifyConfig | None = None,
@@ -221,11 +208,10 @@ def sequential_verify(
     if confidence < cfg.prune_threshold:
         return confidence, True
     arr_a = ref.arrays()
-    order = by_confidence(arr_a.confidence)[: cfg.probe_count]
+    order = ref.ranked[: cfg.probe_count]
     px, py = transform.invert(arr_a.x[order], arr_a.y[order])
     q, _ = query_near_batch(
-        probe_index, probe, px, py, cfg.eps_pos / transform.s, arr_a.theta[order],
-        cfg.eps_theta,
+        probe, px, py, cfg.eps_pos / transform.s, arr_a.theta[order], cfg.eps_theta
     )
     for hits in np.bincount(q, minlength=order.size).tolist():
         if hits == 0:
@@ -293,8 +279,6 @@ def match(
     if ver_cfg is None:
         ver_cfg = VerifyConfig()
     bases = enumerate_basis_pairs(ref, hyp_cfg)
-    probe_index = build_index(probe, ver_cfg.eps_pos)
-    ref_index = build_index(ref, ver_cfg.eps_pos)
     hypotheses = (
         (bp, n_pair, t_raw)
         for bp in bases
@@ -305,16 +289,14 @@ def match(
     for branches, (bp, n_pair, t_raw) in enumerate(
         islice(hypotheses, ver_cfg.max_branches), start=1
     ):
-        confidence, pruned = sequential_verify(
-            ref, probe, probe_index, t_raw, bp.quality, ver_cfg
-        )
+        confidence, pruned = sequential_verify(ref, probe, t_raw, bp.quality, ver_cfg)
         if pruned:
             continue
-        pairs, score = count_coincidences(ref, ref_index, probe, t_raw, ver_cfg)
+        pairs, score = count_coincidences(ref, probe, t_raw, ver_cfg)
         t_best, pairs_best, score_best = t_raw, pairs, score
         t_ref = _refit_transform(ref, probe, pairs, hyp_cfg.s_min, hyp_cfg.s_max)
         if t_ref is not None:
-            pairs_r, score_r = count_coincidences(ref, ref_index, probe, t_ref, ver_cfg)
+            pairs_r, score_r = count_coincidences(ref, probe, t_ref, ver_cfg)
             if score_r >= score:
                 t_best, pairs_best, score_best = t_ref, pairs_r, score_r
         if best is None or score_best > best[0]:

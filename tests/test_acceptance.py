@@ -24,7 +24,6 @@ from edgematch import (
     Rect,
     Transform,
     VerifyConfig,
-    build_index,
     corrupt_and_transform,
     count_coincidences,
     expected_trials,
@@ -203,24 +202,25 @@ def test_criterion_08_coincidence_oracles():
     identity = Transform(s=1.0, tx=0.0, ty=0.0)
 
     ref = random_edge_set(400, 256, 256, seed=42)
-    _, self_score = count_coincidences(ref, build_index(ref, 3.0), ref, identity)
+    _, self_score = count_coincidences(ref, ref, identity)
 
     kept = [e for i, e in enumerate(ref.edges) if i % 4 != 0]
     probe = EdgeSet(256, 256, kept)
-    _, drop_score = count_coincidences(ref, build_index(ref, 3.0), probe, identity)
+    _, drop_score = count_coincidences(ref, probe, identity)
 
-    es = random_edge_set(1000, 512, 512, seed=88)
     rng = np.random.default_rng(99)
     index_agrees = True
-    for cell in (3.0, 32.0):
-        index = build_index(es, cell)
+    # Grid cells of 512 / sqrt(4016) = 8.08 and 512 / sqrt(256) = 32 px.
+    for n, cell in ((1000, 8.08), (60, 32.0)):
+        es = random_edge_set(n, 512, 512, seed=88)
+        index_agrees &= round(es.grid.cell_size, 2) == cell
         for _ in range(25):
             x = float(rng.uniform(-20.0, 532.0))
             y = float(rng.uniform(-20.0, 532.0))
             r = float(rng.uniform(0.0, 80.0))
             th = float(rng.uniform(0.0, 2.0 * np.pi))
             eps = float(rng.uniform(0.05, np.pi))
-            got = query_near_batch(index, es, [x], [y], r, [th], eps)[1]
+            got = query_near_batch(es, [x], [y], r, [th], eps)[1]
             index_agrees &= got.tolist() == oracle_query(es, x, y, r, th, eps)
 
     ok = self_score == 1.0 and drop_score == 6.0 / 7.0 and index_agrees

@@ -9,7 +9,6 @@ from edgematch import (
     Edge,
     EdgeSet,
     EdgeSetFormatError,
-    build_index,
     parse,
     query_near_batch,
     serialize,
@@ -208,67 +207,52 @@ def test_angular_distance_array_matches_scalar(arr, b):
 # ---------------------------------------------------------------- index
 
 
-@given(
-    st.lists(
-        st.tuples(st.floats(0.0, 255.99), st.floats(0.0, 255.99), angles),
-        max_size=60,
-    ),
-    st.floats(0.0, 255.99),
-    st.floats(0.0, 255.99),
-    st.floats(0.0, 400.0),
-    angles,
-    st.floats(0.01, math.pi),
-    st.sampled_from([1.0, 3.0, 8.0, 64.0]),
-)
-def test_query_matches_brute_force(rows, qx, qy, radius, qtheta, eps_theta, cell):
-    es = EdgeSet(256, 256, tuple(Edge(x, y, t) for x, y, t in rows))
-    index = build_index(es, cell)
-    got = query_near_batch(index, es, [qx], [qy], radius, [qtheta], eps_theta)[1]
+# The grid sizes its own cells: in a w x h frame with n edges the cell is
+# max(sqrt(w * h / (4n + 16)), max(w, h) / (4n + 16)).
+
+
+@given(st.data(), st.sampled_from([4, 12, 32, 256]))
+def test_query_matches_brute_force(data, side):
+    # Up to 60 edges: cells from side / 16 (60 edges) to side / 4 (none),
+    # so 0.25 to 1 px in the 4 px frame and 16 to 64 px in the 256 px one.
+    pos = st.floats(0.0, side, exclude_max=True)
+    rows = data.draw(st.lists(st.tuples(pos, pos, angles), max_size=60))
+    qx, qy = data.draw(pos), data.draw(pos)
+    radius = data.draw(st.floats(0.0, 1.6 * side))
+    qtheta, eps_theta = data.draw(angles), data.draw(st.floats(0.01, math.pi))
+    es = EdgeSet(side, side, tuple(Edge(x, y, t) for x, y, t in rows))
+    got = query_near_batch(es, [qx], [qy], radius, [qtheta], eps_theta)[1]
     assert got.dtype == np.int64
     assert got.tolist() == oracle_query(es, qx, qy, radius, qtheta, eps_theta)
 
 
 def test_query_zero_radius_hits_exact_position():
     es = EdgeSet(64, 64, (Edge(10.0, 20.0, 1.0), Edge(30.0, 40.0, 1.0)))
-    index = build_index(es, 4.0)
-    assert query_near_batch(index, es, [10.0], [20.0], 0.0, [1.0], 0.5)[1].tolist() == [0]
+    assert query_near_batch(es, [10.0], [20.0], 0.0, [1.0], 0.5)[1].tolist() == [0]
 
 
 def test_query_negative_radius_raises():
     es = EdgeSet(64, 64, (Edge(1.0, 1.0, 0.0),))
-    index = build_index(es, 4.0)
     with pytest.raises(ValueError):
-        query_near_batch(index, es, [0.0], [0.0], -1.0, [0.0], 0.1)
+        query_near_batch(es, [0.0], [0.0], -1.0, [0.0], 0.1)
 
 
-def test_build_index_rejects_bad_cell_size():
-    es = EdgeSet(64, 64, ())
-    with pytest.raises(ValueError):
-        build_index(es, 0.0)
-    with pytest.raises(ValueError):
-        build_index(es, math.inf)
-
-
-@given(
-    st.lists(
-        st.tuples(st.floats(0.0, 99.99), st.floats(0.0, 79.99), angles),
-        max_size=40,
-    ),
-    st.lists(
-        st.tuples(st.floats(-150.0, 250.0), st.floats(-150.0, 250.0), angles),
-        max_size=30,
-    ),
-    st.sampled_from([0.0, 2.5, 30.0, 500.0]),
-    st.floats(0.01, math.pi),
-    st.sampled_from([1e-9, 1.0, 7.0, 1000.0]),
-)
-def test_batched_query_matches_brute_force(rows, points, radius, eps_theta, cell):
-    # Points well outside the 100x80 frame, radii wider than it, and a cell
-    # size far below a pixel.
-    es = EdgeSet(100, 80, tuple(Edge(x, y, t) for x, y, t in rows))
-    index = build_index(es, cell)
+@given(st.data(), st.sampled_from([(1, 1), (100, 80), (1000, 2)]))
+def test_batched_query_matches_brute_force(data, frame):
+    # Up to 40 edges: cells of 0.08 to 0.25 px in the 1x1 frame, 6.7 to 22 px
+    # in 100x80, and in 1000x2 one row of cells 5.7 to 62 px wide.  Points lie
+    # well outside the frame and radii reach far past it.
+    w, h = frame
+    rows = data.draw(st.lists(st.tuples(
+        st.floats(0.0, w, exclude_max=True), st.floats(0.0, h, exclude_max=True), angles),
+        max_size=40))
+    points = data.draw(st.lists(st.tuples(
+        st.floats(-1.5 * w, 2.5 * w), st.floats(-1.5 * h, 2.5 * h), angles), max_size=30))
+    radius = data.draw(st.sampled_from([0.0, 0.025, 0.3, 5.0])) * max(w, h)
+    eps_theta = data.draw(st.floats(0.01, math.pi))
+    es = EdgeSet(w, h, tuple(Edge(x, y, t) for x, y, t in rows))
     x, y, theta = (np.array([p[k] for p in points], dtype=np.float64) for k in range(3))
-    q, e = query_near_batch(index, es, x, y, radius, theta, eps_theta)
+    q, e = query_near_batch(es, x, y, radius, theta, eps_theta)
     assert q.dtype == e.dtype == np.int64
     expected = [
         (k, i) for k, (px, py, pt) in enumerate(points)
@@ -278,41 +262,46 @@ def test_batched_query_matches_brute_force(rows, points, radius, eps_theta, cell
 
 
 def test_index_storage_stays_linear_in_edge_count():
-    es = grid_set(n=50)
-    for cell in (1e-9, 0.5, 3.0):
-        index = build_index(es, cell)
-        assert index.cell_size >= cell
-        assert index.offsets.size <= 4 * (4 * len(es) + 16)
+    # 256x256 gets cells of about 17 px, 1x1 cells far below a pixel, and
+    # 1000x1 a single row of 4.6 px cells; the empty set gets 64 px cells.
+    n = 50
+    u = (np.arange(n) + 0.5) / n
+    cases = [grid_set(n=n), EdgeSet(256, 256, ()),
+             EdgeSet.from_arrays(1, 1, u, u[::-1], u, u * 0, u, u > 0),
+             EdgeSet.from_arrays(1000, 1, 1000 * u, u, u, u * 0, u, u > 0)]
+    for es in cases:
+        index = es.grid
+        assert index.offsets.size <= 3 * (4 * len(es) + 16) + 2
         assert sorted(index.order.tolist()) == list(range(len(es)))
-    assert build_index(es, 64.0).cell_size == 64.0
-    index = build_index(es, 1e-9)
-    assert query_near_batch(index, es, [0.25], [0.75], 0.0, [0.0], 0.1)[1].tolist() == [0]
+        assert es.grid is index
+    assert cases[1].grid.cell_size == 64.0
+    assert cases[2].grid.cell_size < 0.1
+    assert query_near_batch(cases[2], [u[3]], [u[-4]], 0.0, [u[3]], 0.1)[1].tolist() == [3]
 
 
 def test_batched_query_on_empty_inputs():
     es = grid_set()
-    index = build_index(es, 4.0)
-    q, e = query_near_batch(index, es, [], [], 5.0, [], 0.5)
+    q, e = query_near_batch(es, [], [], 5.0, [], 0.5)
     assert q.size == e.size == 0
     empty = EdgeSet(64, 64, ())
-    q, e = query_near_batch(build_index(empty, 4.0), empty, [1.0, 2.0], [1.0, 2.0], 50.0,
-                            [0.0, 0.0], 3.2)
+    q, e = query_near_batch(empty, [1.0, 2.0], [1.0, 2.0], 50.0, [0.0, 0.0], 3.2)
     assert q.size == e.size == 0
 
 
 @pytest.mark.parametrize("cell", [1.0, 2.0])
 def test_batched_query_includes_edges_at_exactly_the_radius(cell):
-    # Edges on every integer point, queried from integer and half-integer
-    # points with whole radii: many edges sit exactly on the circle, and on
-    # the first or last cell of the query window.
-    pts = [(float(x), float(y)) for x in range(32) for y in range(32)]
-    es = EdgeSet(32, 32, tuple(Edge(x, y, 1.0) for x, y in pts))
-    index = build_index(es, cell)
-    assert index.cell_size == cell
-    qx = np.array([0.0, 5.0, 31.0, 16.5, -2.0, 33.0])
-    qy = np.array([0.0, 7.0, 31.0, 9.0, 4.0, 33.0])
+    # Edges on every integer point of [0, 16)^2, queried from integer and
+    # half-integer points with whole radii: many edges sit exactly on the
+    # circle, and on the first or last cell of the query window.  The frame,
+    # 65 x 16 * cell^2 px, has cell^2 * (4 * 256 + 16) square pixels, so its
+    # grid cell is exactly `cell`.
+    pts = [(float(x), float(y)) for x in range(16) for y in range(16)]
+    es = EdgeSet(65, int(16 * cell * cell), tuple(Edge(x, y, 1.0) for x, y in pts))
+    assert es.grid.cell_size == cell
+    qx = np.array([0.0, 5.0, 15.0, 8.5, -2.0, 17.0])
+    qy = np.array([0.0, 7.0, 15.0, 9.0, 4.0, 17.0])
     for radius in (1.0, 2.0, 3.0):
-        q, e = query_near_batch(index, es, qx, qy, radius, np.ones(6), 0.1)
+        q, e = query_near_batch(es, qx, qy, radius, np.ones(6), 0.1)
         expected = [(k, i) for k in range(6)
                     for i in oracle_query(es, qx[k], qy[k], radius, 1.0, 0.1)]
         assert list(zip(q.tolist(), e.tolist())) == expected

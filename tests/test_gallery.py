@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from edgematch import edges as edges_mod
 from edgematch import (
     CorruptionSpec,
     GalleryError,
@@ -144,6 +146,35 @@ def test_search_ranks_the_true_model_first(tmp_path):
     # ranking is by descending score with id tie-break
     scores = [r.score for _, r in results]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_search_builds_one_grid_per_edge_set(tmp_path, monkeypatch):
+    # Each model is the probe shifted, so every match both screens (on the
+    # probe's grid) and counts coincidences (on the model's grid).
+    probe = random_edge_set(200, 256, 256, seed=5)
+    g = load_gallery(tmp_path)
+    for k in range(3):
+        shift = Transform(s=1.0, tx=1.0 + k, ty=-2.0)
+        model = corrupt_and_transform(probe, shift, CorruptionSpec(seed=k), 256, 256)
+        g = enroll(g, f"model-{k}", model, timestamp=TS)
+    built = []
+    original = edges_mod.build_index
+
+    def counting(es, *args):
+        built.append(es)
+        return original(es, *args)
+
+    # Wrap every binding of build_index in the package, as the bench tracer does.
+    for name, mod in list(sys.modules.items()):
+        if name == "edgematch" or name.startswith("edgematch."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    results = search(g, probe)
+    assert all(r.decided for _, r in results)
+    # The probe once, then each model once.
+    assert len(built) == 4
+    assert sum(es is probe for es in built) == 1
 
 
 def test_search_empty_gallery_raises(tmp_path):

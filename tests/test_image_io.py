@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -78,10 +80,41 @@ def test_save_p2_matches_p5_values():
     assert np.array_equal(from_binary.pixels, from_ascii.pixels)
 
 
+# sha256 of save_pgm(..., ascii=True) for each case of _p2_image.  Random
+# rows mix one-, two- and three-digit samples; at width 18 a row still fits
+# one line, wider rows wrap.  In "exact70" the first line is seventeen 255s
+# and a 10, exactly 70 characters, and the next sample starts a new line.
+P2_DIGESTS = {
+    "w1": "21b8e573f137fadc1952a93d56b3fa374c7407b3aaf05068abd58d0e549e535b",
+    "w17": "3cdd2b77d37b7f422cd46ee11d8cc84cb16a2df29f142632920134928dfea887",
+    "w18": "2129f5a3090118042181d30c2c3e601f014597d0199e8c7c6ef89cad8ba4b0eb",
+    "w35": "99a29841f63c2da9d4d58d8bf2cc1a111aeb2c665b0f246dbbffd4f5866ee797",
+    "w513": "87f78b17033cfa08ea072aa10601f65d250d4e754f113c984cc904ca46928bee",
+    "exact70": "6eab0ff6a244ad8f1ff60592780753521f215e8831a5ee33d244fe5a2cd563fd",
+}
+
+
+def _p2_image(name: str) -> GrayImage:
+    if name == "exact70":
+        rows = np.array([[255] * 17 + [10, 0, 128], [10] * 20])
+    else:
+        w = int(name[1:])
+        rows = np.random.default_rng(w).integers(0, 256, (3, w))
+    return GrayImage.from_array(rows / 255.0)
+
+
+@pytest.mark.parametrize("name", P2_DIGESTS)
+def test_p2_output_digests_pinned(name):
+    assert hashlib.sha256(save_pgm(_p2_image(name), ascii=True)).hexdigest() == P2_DIGESTS[name]
+
+
 def test_p2_line_length_under_70():
     img = GrayImage.from_array(np.full((3, 60), 200 / 255.0))
     for line in save_pgm(img, ascii=True).decode("ascii").splitlines():
         assert len(line) <= 70
+    lines = save_pgm(_p2_image("exact70"), ascii=True).decode("ascii").splitlines()
+    assert lines[3:5] == [" ".join(["255"] * 17 + ["10"]), "0 128"]
+    assert len(lines[3]) == 70
 
 
 def test_quantization_rounds_half_up():

@@ -15,7 +15,6 @@ from edgematch import (
     MatchResult,
     Transform,
     VerifyConfig,
-    build_index,
     corrupt_and_transform,
     count_coincidences,
     match,
@@ -83,7 +82,7 @@ def test_verify_config_validation():
 
 def test_identity_self_match_scores_exactly_one():
     ref = random_edge_set(200, 256, 256, seed=3)
-    pairs, score = count_coincidences(ref, build_index(ref, 3.0), ref, IDENTITY)
+    pairs, score = count_coincidences(ref, ref, IDENTITY)
     assert score == 1.0
     assert sorted(pairs) == [(i, i) for i in range(200)]
 
@@ -92,7 +91,7 @@ def test_quarter_dropout_scores_exactly_six_sevenths():
     ref = random_edge_set(400, 256, 256, seed=42)
     probe = drop_indices(ref, set(range(0, 400, 4)))
     assert len(probe) == 300
-    _, score = count_coincidences(ref, build_index(ref, 3.0), probe, IDENTITY)
+    _, score = count_coincidences(ref, probe, IDENTITY)
     assert score == 6.0 / 7.0
 
 
@@ -102,7 +101,7 @@ def test_probe_outside_frame_is_invisible():
         200, 200, (Edge(10.0, 50.0, 1.0), Edge(90.0, 50.0, 1.0))
     )
     shift = Transform(s=1.0, tx=20.0, ty=0.0)  # second edge maps to x=110
-    pairs, score = count_coincidences(ref, build_index(ref, 3.0), probe, shift)
+    pairs, score = count_coincidences(ref, probe, shift)
     assert pairs == [(0, 0)]
     assert score == 1.0  # 2 * 1 / (1 ref + 1 visible)
 
@@ -111,7 +110,7 @@ def test_boundary_maps_outside():
     ref = EdgeSet(100, 100, (Edge(99.0, 50.0, 1.0),))
     probe = EdgeSet(100, 100, (Edge(50.0, 50.0, 1.0),))
     doubling = Transform(s=2.0, tx=0.0, ty=0.0)  # maps onto x = 100, just out
-    pairs, score = count_coincidences(ref, build_index(ref, 3.0), probe, doubling)
+    pairs, score = count_coincidences(ref, probe, doubling)
     assert pairs == []
     assert score == 0.0
 
@@ -137,7 +136,7 @@ def test_coincidences_match_oracle(ref_rows, probe_rows, s, tx, ty, eps_pos, eps
     probe = EdgeSet(100, 100, tuple(Edge(x, y, t, 0.0, c) for x, y, t, c in probe_rows))
     transform = Transform(s=s, tx=tx, ty=ty)
     cfg = VerifyConfig(eps_pos=eps_pos, eps_theta=eps_theta)
-    pairs, score = count_coincidences(ref, build_index(ref, eps_pos), probe, transform, cfg)
+    pairs, score = count_coincidences(ref, probe, transform, cfg)
     o_pairs, o_score = oracle_coincidences(ref, probe, transform, eps_pos, eps_theta)
     assert pairs == o_pairs
     assert score == o_score
@@ -149,7 +148,7 @@ def test_coincidence_distance_ties_go_to_lowest_ref_index():
     # Edge 0 lies in a later grid cell than edge 1, both exactly eps_pos away.
     ref = EdgeSet(32, 32, (Edge(12.0, 10.0, 1.0), Edge(6.0, 10.0, 1.0)))
     probe = EdgeSet(32, 32, (Edge(9.0, 10.0, 1.0),))
-    pairs, _ = count_coincidences(ref, build_index(ref, 3.0), probe, IDENTITY)
+    pairs, _ = count_coincidences(ref, probe, IDENTITY)
     assert pairs == [(0, 0)]
 
 
@@ -167,7 +166,7 @@ def test_coincidences_on_integer_grid_match_oracle(eps_pos):
         for x, y in points[::3]
     ))
     cfg = VerifyConfig(eps_pos=eps_pos, eps_theta=0.2)
-    got = count_coincidences(ref, build_index(ref, eps_pos), probe, IDENTITY, cfg)
+    got = count_coincidences(ref, probe, IDENTITY, cfg)
     assert got == oracle_coincidences(ref, probe, IDENTITY, eps_pos, 0.2)
 
 
@@ -181,12 +180,8 @@ def test_coincidence_count_monotone_in_eps_pos(ref_rows, probe_rows, eps_a, eps_
     ref = EdgeSet(100, 100, tuple(Edge(x, y, t, 0.0, c) for x, y, t, c in ref_rows))
     probe = EdgeSet(100, 100, tuple(Edge(x, y, t, 0.0, c) for x, y, t, c in probe_rows))
     lo, hi = sorted((eps_a, eps_b))
-    pairs_lo, _ = count_coincidences(
-        ref, build_index(ref, lo), probe, IDENTITY, VerifyConfig(eps_pos=lo)
-    )
-    pairs_hi, _ = count_coincidences(
-        ref, build_index(ref, hi), probe, IDENTITY, VerifyConfig(eps_pos=hi)
-    )
+    pairs_lo, _ = count_coincidences(ref, probe, IDENTITY, VerifyConfig(eps_pos=lo))
+    pairs_hi, _ = count_coincidences(ref, probe, IDENTITY, VerifyConfig(eps_pos=hi))
     assert len(pairs_lo) <= len(pairs_hi)
 
 
@@ -195,14 +190,14 @@ def test_coincidence_count_monotone_in_eps_pos(ref_rows, probe_rows, eps_a, eps_
 
 def test_sequential_all_hits_returns_initial_confidence():
     ref = grid_ref()
-    conf, pruned = sequential_verify(ref, ref, build_index(ref, 3.0), IDENTITY, 0.9)
+    conf, pruned = sequential_verify(ref, ref, IDENTITY, 0.9)
     assert (conf, pruned) == (0.9, False)
 
 
 def test_sequential_five_misses_survive():
     ref = grid_ref()
     probe = drop_indices(ref, set(range(5)))
-    conf, pruned = sequential_verify(ref, probe, build_index(probe, 3.0), IDENTITY, 1.0)
+    conf, pruned = sequential_verify(ref, probe, IDENTITY, 1.0)
     assert not pruned
     assert conf == pytest.approx(0.8**5, rel=1e-12)
 
@@ -210,7 +205,7 @@ def test_sequential_five_misses_survive():
 def test_sequential_prunes_exactly_at_sixth_miss():
     ref = grid_ref()
     probe = drop_indices(ref, set(range(6)))
-    conf, pruned = sequential_verify(ref, probe, build_index(probe, 3.0), IDENTITY, 1.0)
+    conf, pruned = sequential_verify(ref, probe, IDENTITY, 1.0)
     assert pruned
     assert conf == pytest.approx(0.262144, rel=1e-12)
     assert conf < 0.3
@@ -218,7 +213,7 @@ def test_sequential_prunes_exactly_at_sixth_miss():
 
 def test_sequential_initial_confidence_below_threshold():
     ref = grid_ref()
-    conf, pruned = sequential_verify(ref, ref, build_index(ref, 3.0), IDENTITY, 0.25)
+    conf, pruned = sequential_verify(ref, ref, IDENTITY, 0.25)
     assert (conf, pruned) == (0.25, True)
 
 
@@ -226,7 +221,7 @@ def test_sequential_only_probes_the_top_edges():
     ref = grid_ref()
     # edges ranked past probe_count=20 are irrelevant
     probe = drop_indices(ref, set(range(25, 100)))
-    conf, pruned = sequential_verify(ref, probe, build_index(probe, 3.0), IDENTITY, 1.0)
+    conf, pruned = sequential_verify(ref, probe, IDENTITY, 1.0)
     assert (conf, pruned) == (1.0, False)
 
 
