@@ -182,8 +182,8 @@ def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> l
         rr, cc = np.nonzero((c > r) & (cs[r] * cs[c] >= floor))
         add(rr + r0, cc + c0)
         r0 = r1
-    return [BasisPair(i=int(i), j=int(j), phi=float(phi), dist=float(d), quality=float(q))
-            for q, i, j, phi, d in best]
+    return [BasisPair(i=int(i), j=int(j), phi=phi, dist=d, quality=q)
+            for q, i, j, phi, d in best.tolist()]
 
 
 def find_compatible_pairs(

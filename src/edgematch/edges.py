@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -90,34 +90,11 @@ class EdgeArrays(NamedTuple):
     reliable: np.ndarray
 
 
-class _EdgeRows(Sequence):
-    """Read-only row view of an edge set: one :class:`Edge` per index,
-    built on demand."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, columns: EdgeArrays):
-        self._c = columns
-
-    def __len__(self) -> int:
-        return len(self._c.x)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        c = self._c
-        return Edge(float(c.x[i]), float(c.y[i]), float(c.theta[i]),
-                    float(c.kappa[i]), float(c.confidence[i]), bool(c.reliable[i]))
-
-    def __iter__(self):
-        return map(Edge, *(col.tolist() for col in self._c))
-
-
 class EdgeSet:
     """An ordered collection of edges in a width x height pixel frame.
 
     The edges are held as six validated columns (:class:`EdgeArrays`),
-    returned by :meth:`arrays`; :attr:`edges` views them as rows.  Build a
+    returned by :meth:`arrays`; :attr:`edges` lists them as rows.  Build a
     set from columns with :meth:`from_arrays`, or from :class:`Edge` rows
     with ``EdgeSet(width, height, edges)``.  Treated as immutable, so the
     confidence ranking (:attr:`ranked`) and the grid over the positions
@@ -175,8 +152,9 @@ class EdgeSet:
         return self._cache
 
     @property
-    def edges(self) -> Sequence[Edge]:
-        return _EdgeRows(self._cache)
+    def edges(self) -> list[Edge]:
+        """One :class:`Edge` per row, in a new list on each access."""
+        return list(map(Edge, *(col.tolist() for col in self._cache)))
 
     @cached_property
     def ranked(self) -> np.ndarray:
@@ -195,19 +173,6 @@ class EdgeSet:
         return math.sqrt(self.width * self.width + self.height * self.height)
 
 
-def _fmt6(v: float) -> str:
-    return f"{v:.6f}"
-
-
-def _fmt_position(v: float, bound: int) -> str:
-    # Quantizing to 6 decimals may round a position up onto the frame bound;
-    # clamp so the serialized value still parses as in-frame.
-    s = _fmt6(v)
-    if float(s) >= bound:
-        s = _fmt6(bound - 1e-6)
-    return s
-
-
 def serialize(es: EdgeSet) -> bytes:
     """Encode an edge set as EDGESET v1 text (ASCII, LF newlines).
 
@@ -215,21 +180,14 @@ def serialize(es: EdgeSet) -> bytes:
     set onto that grid: parse(serialize(s)) re-serializes to identical bytes.
     """
     c = es.arrays()
-    lines = [f"EDGESET {EDGESET_VERSION}", f"{es.width} {es.height} {len(es)}"]
-    for x, y, theta, kappa, conf, reliable in zip(*(col.tolist() for col in c)):
-        lines.append(
-            " ".join(
-                (
-                    _fmt_position(x, es.width),
-                    _fmt_position(y, es.height),
-                    _fmt6(theta),
-                    _fmt6(kappa),
-                    _fmt6(conf),
-                    "1" if reliable else "0",
-                )
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("ascii")
+    # A position above bound - 1e-6 prints as bound - 0.000001 or rounds up
+    # onto the bound; capping it there keeps the first text and pulls the
+    # second back inside the frame.
+    cols = (np.minimum(c.x, es.width - 1e-6), np.minimum(c.y, es.height - 1e-6)) + c[2:]
+    head = f"EDGESET {EDGESET_VERSION}\n{es.width} {es.height} {len(es)}\n"
+    rows = "".join(["%.6f %.6f %.6f %.6f %.6f %d\n" % row
+                    for row in zip(*(col.tolist() for col in cols))])
+    return (head + rows).encode("ascii")
 
 
 def _parse_float(token: str, what: str, lineno: int) -> float:

@@ -168,6 +168,9 @@ def search(
     for entry in gallery.manifest:
         data = (gallery.root / entry.file).read_bytes()
         model = edges_mod.parse(data)
+        if len(model) != entry.edge_count:
+            raise GalleryError(f"model {entry.id!r} has {len(model)} edges, manifest "
+                               f"says {entry.edge_count}")
         results.append((entry.id, match(model, probe, hyp_cfg, ver_cfg)))
     results.sort(key=lambda r: (-r[1].score, r[0]))
     return results

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .edges import require_int
+
 # Trials are simulated in fixed-size chunks, each with its own generator
 # seeded by (seed, chunk index): results are identical no matter how many
 # workers process the chunks.
@@ -30,8 +32,7 @@ class ProbabilityParams:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("p must lie in [0, 1]")
-        if self.m < 0:
-            raise ValueError("m must be non-negative")
+        require_int("m", self.m, 0)
 
 
 def miss_probability_general(p: float, m: int, edges_per_couple: int = 2) -> float:
@@ -44,10 +45,8 @@ def miss_probability_general(p: float, m: int, edges_per_couple: int = 2) -> flo
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    if edges_per_couple < 1:
-        raise ValueError("edges_per_couple must be at least 1")
+    require_int("m", m, 0)
+    require_int("edges_per_couple", edges_per_couple, 1)
     return (1.0 - (1.0 - p) ** edges_per_couple) ** m
 
 
@@ -55,8 +54,7 @@ def expected_trials(p: float, edges_per_couple: int = 2) -> float:
     """Expected basis draws until one has every edge detected: (1-p)^-k."""
     if not (0.0 <= p < 1.0):
         raise ValueError("p must lie in [0, 1): at p = 1 no couple can survive")
-    if edges_per_couple < 1:
-        raise ValueError("edges_per_couple must be at least 1")
+    require_int("edges_per_couple", edges_per_couple, 1)
     return (1.0 - p) ** (-edges_per_couple)
 
 
@@ -82,14 +80,10 @@ def monte_carlo_miss(
     function of (params, trials, seed, edges_per_couple): the chunked
     generator scheme makes the worker count irrelevant to the result.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if edges_per_couple < 1:
-        raise ValueError("edges_per_couple must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    require_int("trials", trials, 1)
+    require_int("seed", seed, 0)
+    require_int("edges_per_couple", edges_per_couple, 1)
+    require_int("workers", workers, 1)
     p, m, k = params.p, params.m, edges_per_couple
     sizes = [min(CHUNK_TRIALS, trials - start) for start in range(0, trials, CHUNK_TRIALS)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -162,29 +162,39 @@ def render_shapes(
         raise ValueError("frame must be at least 1x1")
     if not (0.0 <= background <= 1.0):
         raise ValueError("background must lie in [0, 1]")
-    x_lo, x_hi = -0.5, width - 0.5
-    y_lo, y_hi = -0.5, height - 0.5
+    boxes = []  # (left, right, top, bottom) of each shape
     for s in shapes:
         if isinstance(s, Disk):
-            if s.cx - s.r < x_lo or s.cx + s.r > x_hi or s.cy - s.r < y_lo or s.cy + s.r > y_hi:
-                raise ValueError(f"disk at ({s.cx}, {s.cy}) r={s.r} extends out of frame")
+            box = (s.cx - s.r, s.cx + s.r, s.cy - s.r, s.cy + s.r)
+            what = f"disk at ({s.cx}, {s.cy}) r={s.r}"
         elif isinstance(s, Rect):
-            if s.x0 < x_lo or s.x0 + s.w > x_hi or s.y0 < y_lo or s.y0 + s.h > y_hi:
-                raise ValueError(f"rect at ({s.x0}, {s.y0}) extends out of frame")
+            box = (s.x0, s.x0 + s.w, s.y0, s.y0 + s.h)
+            what = f"rect at ({s.x0}, {s.y0})"
         else:
             raise TypeError(f"unsupported shape {type(s).__name__}")
+        if box[0] < -0.5 or box[1] > width - 0.5 or box[2] < -0.5 or box[3] > height - 0.5:
+            raise ValueError(f"{what} extends out of frame")
+        boxes.append(box)
 
     ss = 4
     xs = (np.arange(width * ss) + 0.5) / ss - 0.5
     ys = (np.arange(height * ss) + 0.5) / ss - 0.5
-    # A row and a column that broadcast to the supersampled grid.
-    X, Y = xs[np.newaxis, :], ys[:, np.newaxis]
     canvas = np.full((height * ss, width * ss), float(background))
-    for s in shapes:
+    for s, (left, right, top, bottom) in zip(shapes, boxes):
+        # Each shape is tested on the samples of its box only, plus one on
+        # each side so that rounding in the disk test cannot drop a sample.
+        sx, sy = _samples_within(xs, left, right), _samples_within(ys, top, bottom)
+        X, Y = xs[sx][np.newaxis, :], ys[sy][:, np.newaxis]
         if isinstance(s, Disk):
             mask = (X - s.cx) ** 2 + (Y - s.cy) ** 2 <= s.r * s.r
         else:
-            mask = (X >= s.x0) & (X <= s.x0 + s.w) & (Y >= s.y0) & (Y <= s.y0 + s.h)
-        canvas[mask] = s.intensity
+            mask = (X >= left) & (X <= right) & (Y >= top) & (Y <= bottom)
+        canvas[sy, sx][mask] = s.intensity
     pixels = canvas.reshape(height, ss, width, ss).mean(axis=(1, 3))
     return GrayImage(width=width, height=height, pixels=pixels)
+
+
+def _samples_within(v: np.ndarray, lo: float, hi: float) -> slice:
+    """The slice of the ascending samples v that lie in [lo, hi], widened by
+    one sample on each side."""
+    return slice(max(int(np.searchsorted(v, lo)) - 1, 0), int(np.searchsorted(v, hi, "right")) + 1)

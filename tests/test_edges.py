@@ -179,6 +179,22 @@ def test_serialize_parse_idempotent(rows):
     assert len(es2) == len(es)
 
 
+def test_serialize_clamps_positions_that_round_onto_the_frame_bound():
+    # Bytes taken before serialize was vectorized.  bound - 4e-7 and
+    # nextafter(bound, 0) print as the bound and are clamped to
+    # bound - 0.000001; the others print as that value unclamped.
+    def near(bound):
+        return [bound - 4e-7, bound - 5e-7, bound - 6e-7, bound - 1e-6,
+                math.nextafter(bound, 0.0)]
+
+    es = EdgeSet.from_arrays(100, 37, near(100.0), near(37.0), [0.5] * 5, [0.0] * 5,
+                             [1.0] * 5, [True] * 5)
+    data = serialize(es)
+    row = b"99.999999 36.999999 0.500000 0.000000 1.000000 1\n"
+    assert data == b"EDGESET 1\n100 37 5\n" + 5 * row
+    assert serialize(parse(data)) == data
+
+
 # ---------------------------------------------------------------- angles
 
 

@@ -180,3 +180,11 @@ def test_search_builds_one_grid_per_edge_set(tmp_path, monkeypatch):
 def test_search_empty_gallery_raises(tmp_path):
     with pytest.raises(GalleryError, match="empty gallery"):
         search(load_gallery(tmp_path), random_edge_set(10, 64, 64, seed=0))
+
+
+def test_search_rejects_a_model_whose_edge_count_differs_from_its_entry(tmp_path):
+    g = build_small_gallery(tmp_path, n_models=3, n_edges=50)
+    (tmp_path / "models" / "model-1.edgeset").write_bytes(
+        edges_mod.serialize(random_edge_set(5, 256, 256, seed=9)))
+    with pytest.raises(GalleryError, match=r"'model-1' has 5 edges, manifest says 50"):
+        search(load_gallery(tmp_path), random_edge_set(50, 256, 256, seed=0))

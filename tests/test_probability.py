@@ -75,6 +75,28 @@ def test_parameter_validation():
         monte_carlo_miss(params, trials=100, edges_per_couple=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ProbabilityParams(0.1, 2.5), id="params-m"),
+        pytest.param(lambda: ProbabilityParams(0.1, True), id="params-m-bool"),
+        pytest.param(lambda: miss_probability_general(0.1, 2.5), id="general-m"),
+        pytest.param(lambda: miss_probability_general(0.1, 5, 2.0), id="general-k"),
+        pytest.param(lambda: expected_trials(0.1, 2.5), id="expected-k"),
+        pytest.param(lambda: monte_carlo_miss(ProbabilityParams(0.1, 5), 100.0), id="mc-trials"),
+        pytest.param(lambda: monte_carlo_miss(ProbabilityParams(0.1, 5), 100, seed=1.5),
+                     id="mc-seed"),
+        pytest.param(lambda: monte_carlo_miss(ProbabilityParams(0.1, 5), 100,
+                                              edges_per_couple=2.0), id="mc-k"),
+        pytest.param(lambda: monte_carlo_miss(ProbabilityParams(0.1, 5), 100, workers=1.0),
+                     id="mc-workers"),
+    ],
+)
+def test_integer_arguments_reject_non_integers(call):
+    with pytest.raises(ValueError, match="must be an integer of at least"):
+        call()
+
+
 # ------------------------------------------------------------ monte carlo
 
 

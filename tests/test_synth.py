@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,34 @@ def test_out_of_frame_shape_raises():
         render_shapes(64, 64, (Disk(cx=60.0, cy=32.0, r=10.0, intensity=1.0),))
     # touching the half-pixel frame bound is allowed
     render_shapes(64, 64, (Disk(cx=10.0, cy=10.0, r=10.5, intensity=1.0),))
+
+
+# sha256 of the rendered pixels, taken when every shape was tested on the
+# whole supersampled frame.  Samples sit at k/4 - 0.375: the first rect's
+# edges and the disk's extremes fall exactly on samples, and some shapes
+# touch the -0.5 or the width - 0.5 frame bound.
+RENDER_DIGESTS = [
+    ((24, 16, (Rect(x0=2.125, y0=1.625, w=5.0, h=3.0, intensity=1.0),)),
+     "eda469c0b76c2596e26a822d56b3a9006f2169e591b233f6abd56714a4e0c9b5"),
+    ((24, 16, (Rect(x0=-0.5, y0=-0.5, w=3.0, h=2.0, intensity=0.75),
+               Disk(cx=8.125, cy=6.125, r=3.0, intensity=0.5))),
+     "81e431c693602c17c86df7857261d9bc9b620d77fd0124741ad435252495a676"),
+    ((32, 20, (Disk(cx=3.5, cy=9.0, r=4.0, intensity=1.0),
+               Rect(x0=20.375, y0=11.875, w=11.125, h=7.625, intensity=0.25),
+               Disk(cx=16.0, cy=10.0, r=6.3, intensity=0.6))),
+     "183ce2bc3eb637d1f27824ca9ea8a2137bf9e32c867f4740ca612a0bf14642d6"),
+    ((64, 48, (Disk(cx=20.0, cy=24.0, r=12.0, intensity=0.9),
+               Disk(cx=24.0, cy=20.0, r=5.5, intensity=0.1),
+               Rect(x0=40.0, y0=-0.5, w=23.5, h=48.0, intensity=0.4))),
+     "1bae83d61926a2f860a2cf3c1362e0447fb50892f3c079bde3b7e9d019be7381"),
+]
+
+
+@pytest.mark.parametrize("scene,digest", RENDER_DIGESTS)
+def test_render_digests_pinned(scene, digest):
+    width, height, shapes = scene
+    pixels = render_shapes(width, height, shapes, background=0.2).pixels
+    assert hashlib.sha256(pixels.tobytes()).hexdigest() == digest
 
 
 def test_render_save_load_round_trip():
