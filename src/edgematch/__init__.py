@@ -12,6 +12,7 @@ from .basis import (
     Transform,
     enumerate_basis_pairs,
     find_compatible_pairs,
+    iter_basis_pairs,
 )
 from .edges import (
     Edge,
@@ -90,6 +91,7 @@ __all__ = [
     "extract_edges",
     "find_compatible_pairs",
     "isophote_curvature",
+    "iter_basis_pairs",
     "load_gallery",
     "load_pgm",
     "match",

@@ -11,11 +11,19 @@ so the most constraining hypotheses are tried first.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import TWO_PI, EdgeSet, angular_distance_array, require_int, wrap_angle
+from .edges import (
+    TWO_PI,
+    EdgeSet,
+    angular_distance_array,
+    require_int,
+    require_positive,
+    wrap_angle,
+)
 
 _PI = math.pi
 
@@ -31,8 +39,7 @@ class Transform:
     ty: float
 
     def __post_init__(self):
-        if not (self.s > 0.0 and math.isfinite(self.s)):
-            raise ValueError("scale must be positive and finite")
+        require_positive("scale", self.s)
         if not (math.isfinite(self.tx) and math.isfinite(self.ty)):
             raise ValueError("translation must be finite")
 
@@ -82,12 +89,12 @@ class HypothesisConfig:
     max_pairs_n: int = 10
 
     def __post_init__(self):
-        if self.eps_theta <= 0.0 or self.eps_phi <= 0.0:
-            raise ValueError("angle tolerances must be positive")
+        require_positive("eps_theta", self.eps_theta)
+        require_positive("eps_phi", self.eps_phi)
         if not (0.0 < self.min_sep_angle < 0.5 * _PI):
             raise ValueError("min_sep_angle must lie in (0, pi/2)")
-        if self.min_dist is not None and self.min_dist <= 0.0:
-            raise ValueError("min_dist must be positive")
+        if self.min_dist is not None:
+            require_positive("min_dist", self.min_dist)
         if not (0.0 < self.s_min <= 1.0 <= self.s_max):
             raise ValueError("scale range must satisfy 0 < s_min <= 1 <= s_max")
         require_int("max_basis_a", self.max_basis_a, 1)
@@ -104,27 +111,110 @@ def _fold_half(d):
     return np.minimum(d, _PI - d)
 
 
-# Couples scored per step of the pruned enumeration: smaller steps raise
-# the floor sooner, larger ones spend less time per couple.
-_CHUNK_PAIRS = 1 << 14
+# Couples the first band of the basis walk scores, and the cap that each
+# later band doubles up to: match usually reads one basis, which synthetic
+# sets reach within a hundred couples, while the cap bounds the memory of a
+# band where many bounds tie.
+_BAND_FIRST = 1 << 7
+_BAND_PAIRS = 1 << 13
+# Halvings of the bound interval spent sizing one band.
+_BAND_SEARCH = 10
 # Cells of the cand1 x cand2 matrix that find_compatible_pairs holds at once.
 _CHUNK_CELLS = 1 << 18
 
 
-def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> list[BasisPair]:
-    """Ranked basis couples of a reference set.
+def _band_ends(cs, hi, front, lo, size):
+    """Where each row of the bound matrix cs[r] * cs[c] (c > r) ends the
+    next band, given that row r is scored up to rank hi[r] and front[r] is
+    its first unscored bound.
+
+    The band takes the couples whose bound reaches a threshold t in
+    [lo, max(front)], bisected until they number size to 2 * size.  When a
+    tie in the bound makes that count jump past the range, the band is cut
+    to 2 * size couples in rank order.  No band is empty, as the rows of
+    the largest front always reach t, so the walk always advances.
+    """
+    # The d + 1 most confident edges form d (d + 1) / 2 couples, each with
+    # a bound of at least cs[d]^2, and at most `scored` of them are scored:
+    # a t below cs[d]^2 takes more than 2 * size couples, so lo can rise to
+    # it, which keeps the search among the ranks and values that matter.
+    scored = int((hi - np.arange(1, cs.size)).sum())
+    d = (math.isqrt(8 * (scored + 2 * size) + 1) + 1) // 2
+    if d < cs.size:
+        lo = max(lo, cs[d] * cs[d])
+    live = np.nonzero(front >= lo)[0]  # only these rows reach lo
+    c_live, hi_live, front_live = cs[live], hi[live], front[live]
+
+    def ends(t):
+        # Ranks c with cs[c] >= t / cs[r], an estimate of cs[r] * cs[c] >= t.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.searchsorted(-cs, -t / c_live, side="right")
+        return np.maximum(e, hi_live + (front_live >= t))
+
+    up = front_live.max()
+    end = ends(lo)
+    if (end - hi_live).sum() > 2 * size:
+        end = ends(up)
+        if (end - hi_live).sum() < size:
+            for _ in range(_BAND_SEARCH):
+                t = 0.5 * (lo + up)
+                end = ends(t)
+                count = (end - hi_live).sum()
+                if count > 2 * size:
+                    lo = t
+                elif count < size:
+                    up = t
+                else:
+                    break
+            else:
+                end = ends(lo)
+    taken = np.cumsum(end - hi_live)
+    if taken[-1] > 2 * size:
+        cut = int(np.searchsorted(taken, 2 * size))
+        end[cut] -= taken[cut] - 2 * size
+        end[cut + 1:] = hi_live[cut + 1:]
+    out = hi.copy()
+    out[live] = end
+    return out
+
+
+def _score(arr, i, j, min_dist, min_sep, half_diag):
+    """Rows (quality, i, j, phi, dist) of the admissible couples (i[t], j[t]),
+    i < j."""
+    x, y, th = arr.x, arr.y, arr.theta
+    dx = x[j] - x[i]
+    dy = y[j] - y[i]
+    dist = np.sqrt(dx * dx + dy * dy)
+    sep = _fold_half(angular_distance_array(th[i], th[j]))
+    ok = (dist >= min_dist) & (sep >= min_sep)
+    i, j, dx, dy, dist, sep = i[ok], j[ok], dx[ok], dy[ok], dist[ok], sep[ok]
+    phi = wrap_angle(np.arctan2(dy, dx))
+    dpar_i = _fold_half(angular_distance_array(th[i], phi))
+    dpar_j = _fold_half(angular_distance_array(th[j], phi))
+    ok = ~((dpar_i < min_sep) & (dpar_j < min_sep))
+    i, j, phi, dist, sep = i[ok], j[ok], phi[ok], dist[ok], sep[ok]
+    q = arr.confidence[i] * arr.confidence[j] * np.minimum(dist / half_diag, 1.0) * np.sin(sep)
+    return np.column_stack((q, i, j, phi, dist))
+
+
+def iter_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> Iterator[BasisPair]:
+    """Ranked basis couples of a reference set, best first.
 
     Considers reliable edges only, with i < j, separation at least min_dist,
     orientation separation (mod pi) at least min_sep_angle, and rejects
     couples where both orientations lie within min_sep_angle of the joining
     axis: those are nearly collinear with it and pin the scale poorly.
-    Sorted by descending quality, ties broken by lower i then lower j, and
-    truncated to max_basis_a entries.  Deterministic.
+    Yields in descending quality, ties broken by lower i then lower j, and
+    stops after max_basis_a couples.  Deterministic.
 
-    A couple's quality is at most conf_i * conf_j, so edges are visited in
-    descending confidence and couples that cannot beat the current
-    max_basis_a-th best quality are never scored; the result is the same as
-    scoring every couple.
+    A couple's quality is at most its bound conf_i * conf_j.  Couples are
+    scored in bands of falling bound, the first of about _BAND_FIRST
+    couples and each next one twice the last, up to _BAND_PAIRS.  After a
+    band, every scored couple whose quality is strictly above the largest
+    bound left unscored is yielded, since no unscored couple can reach or
+    tie it.  This is the threshold algorithm of Fagin, Lotem & Naor (PODS
+    2001): a caller that reads only the first few couples scores only the
+    couples whose bound reaches them, and at most one band more.
     """
     if cfg is None:
         cfg = HypothesisConfig()
@@ -132,58 +222,46 @@ def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> l
     perm = es.ranked[arr.reliable[es.ranked]]  # rank -> edge index
     n = perm.size
     if n < 2:
-        return []
+        return
     diag = es.frame_diagonal
-    half_diag = diag / 2.0
     min_dist = cfg.resolved_min_dist(diag)
-    min_sep = cfg.min_sep_angle
-    x, y, th, conf = arr.x, arr.y, arr.theta, arr.confidence
-    cs = conf[perm]
-    k = cfg.max_basis_a
-    best = np.empty((0, 5))  # rows (quality, i, j, phi, dist), i < j
-    floor = -np.inf  # the k-th best quality so far
+    cs = arr.confidence[perm]  # descending
+    rows = np.arange(n - 1)
+    hi = rows + 1  # row r of the bound matrix is scored over ranks r + 1 .. hi[r] - 1
+    need = cfg.max_basis_a
+    pending = np.empty((0, 5))  # scored rows (quality, i, j, phi, dist) in yield order
+    size = min(_BAND_FIRST, _BAND_PAIRS)
+    while True:
+        # As cs descends, the first unscored couple of a row has its largest bound.
+        front = np.where(hi < n, cs[:-1] * cs[np.minimum(hi, n - 1)], -np.inf)
+        top = front.max()
+        out = int(np.searchsorted(-pending[:, 0], -top))  # quality > top
+        for q, i, j, phi, d in pending[:out].tolist():
+            yield BasisPair(i=int(i), j=int(j), phi=phi, dist=d, quality=q)
+        need -= out
+        if need == 0 or top == -np.inf:
+            return
+        pending = pending[out:]
+        # A couple below the need-th best quality so far is never yielded.
+        floor = pending[need - 1, 0] if len(pending) >= need else 0.0
+        end = _band_ends(cs, hi, front, floor, size)
+        lengths = end - hi
+        r = np.repeat(rows, lengths)
+        c = np.arange(r.size) - np.repeat(np.cumsum(lengths) - lengths - hi, lengths)
+        hi = end
+        pending = np.vstack((pending, _score(arr, np.minimum(perm[r], perm[c]),
+                                             np.maximum(perm[r], perm[c]), min_dist,
+                                             cfg.min_sep_angle, diag / 2.0)))
+        if len(pending) > need:
+            q = pending[:, 0]
+            pending = pending[q >= np.partition(q, len(q) - need)[len(q) - need]]
+        pending = pending[np.lexsort((pending[:, 2], pending[:, 1], -pending[:, 0]))[:need]]
+        size = min(2 * size, _BAND_PAIRS)
 
-    def add(r, c):
-        """Score the admissible couples of ranks (r[t], c[t]); keep the k best."""
-        nonlocal best, floor
-        i, j = np.minimum(perm[r], perm[c]), np.maximum(perm[r], perm[c])
-        dx = x[j] - x[i]
-        dy = y[j] - y[i]
-        dist = np.sqrt(dx * dx + dy * dy)
-        sep = _fold_half(angular_distance_array(th[i], th[j]))
-        ok = (dist >= min_dist) & (sep >= min_sep)
-        i, j, dx, dy, dist, sep = i[ok], j[ok], dx[ok], dy[ok], dist[ok], sep[ok]
-        phi = wrap_angle(np.arctan2(dy, dx))
-        dpar_i = _fold_half(angular_distance_array(th[i], phi))
-        dpar_j = _fold_half(angular_distance_array(th[j], phi))
-        ok = ~((dpar_i < min_sep) & (dpar_j < min_sep))
-        i, j, phi, dist, sep = i[ok], j[ok], phi[ok], dist[ok], sep[ok]
-        q = conf[i] * conf[j] * np.minimum(dist / half_diag, 1.0) * np.sin(sep)
-        best = np.vstack((best, np.column_stack((q, i, j, phi, dist))[q >= floor]))
-        best = best[np.lexsort((best[:, 2], best[:, 1], -best[:, 0]))[:k]]
-        if len(best) == k:
-            floor = best[-1, 0]
 
-    # Seed the floor with every couple among the most confident edges.
-    m = min(n, int(math.isqrt(8 * k)) + 2)
-    add(*np.triu_indices(m, 1))
-    # Then rank rows r against columns c > r outside that block, skipping
-    # couples whose bound cs[r] * cs[c] is below the floor, until every
-    # remaining couple (both ranks >= r0) has a bound below it.
-    r0 = 0
-    while r0 < n - 1 and cs[r0] * cs[r0 + 1] >= floor:
-        c0 = max(m, r0 + 1)
-        c1 = int(np.count_nonzero(cs[r0] * cs >= floor))
-        if c1 <= c0:
-            break
-        r1 = min(r0 + max(1, _CHUNK_PAIRS // (c1 - c0)), c1 - 1)
-        r = np.arange(r0, r1)[:, np.newaxis]
-        c = np.arange(c0, c1)[np.newaxis, :]
-        rr, cc = np.nonzero((c > r) & (cs[r] * cs[c] >= floor))
-        add(rr + r0, cc + c0)
-        r0 = r1
-    return [BasisPair(i=int(i), j=int(j), phi=phi, dist=d, quality=q)
-            for q, i, j, phi, d in best.tolist()]
+def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> list[BasisPair]:
+    """All of :func:`iter_basis_pairs`: the max_basis_a best couples, ranked."""
+    return list(iter_basis_pairs(es, cfg))
 
 
 def find_compatible_pairs(

@@ -63,6 +63,12 @@ def require_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def require_positive(name: str, value) -> None:
+    """Raise ValueError unless value is positive and finite (NaN is not)."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Edge:
     """A single oriented edge: one row of an :class:`EdgeSet`.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import TWO_PI, EdgeSet, in_frame, require_int, wrap_angle
+from .edges import TWO_PI, EdgeSet, in_frame, require_int, require_positive, wrap_angle
 from .image_io import GrayImage
 
 # Gradient magnitudes below this are treated as flat: no orientation, no
@@ -46,8 +46,7 @@ class EdgeExtractionConfig:
     border_margin: int | None = None
 
     def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive")
+        require_positive("sigma", self.sigma)
         if not (0.0 < self.mag_threshold_rel < 1.0):
             raise ValueError("mag_threshold_rel must lie in (0, 1)")
         if not (self.curvature_max > 0.0):

@@ -24,10 +24,10 @@ import numpy as np
 from .basis import (
     HypothesisConfig,
     Transform,
-    enumerate_basis_pairs,
     find_compatible_pairs,
+    iter_basis_pairs,
 )
-from .edges import EdgeSet, in_frame, query_near_batch, require_int
+from .edges import EdgeSet, in_frame, query_near_batch, require_int, require_positive
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class VerifyConfig:
     max_branches: int = 50
 
     def __post_init__(self):
-        if self.eps_pos <= 0.0 or self.eps_theta <= 0.0:
-            raise ValueError("tolerances must be positive")
+        require_positive("eps_pos", self.eps_pos)
+        require_positive("eps_theta", self.eps_theta)
         require_int("probe_count", self.probe_count, 1)
         if not (0.0 < self.miss_factor < 1.0):
             raise ValueError("miss_factor must lie in (0, 1)")
@@ -278,10 +278,9 @@ def match(
         hyp_cfg = HypothesisConfig()
     if ver_cfg is None:
         ver_cfg = VerifyConfig()
-    bases = enumerate_basis_pairs(ref, hyp_cfg)
     hypotheses = (
         (bp, n_pair, t_raw)
-        for bp in bases
+        for bp in iter_basis_pairs(ref, hyp_cfg)
         for n_pair, t_raw in find_compatible_pairs(probe, bp, ref, hyp_cfg)
     )
     branches = 0

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 from unittest.mock import patch
 
 import numpy as np
@@ -14,6 +15,9 @@ from edgematch import (
     Transform,
     enumerate_basis_pairs,
     find_compatible_pairs,
+    iter_basis_pairs,
+    match,
+    random_edge_set,
 )
 from edgematch import basis as basis_mod
 from edgematch.edges import TWO_PI
@@ -89,6 +93,22 @@ def test_hypothesis_config_validation():
     assert HypothesisConfig().resolved_min_dist(100.0) == 15.0
 
 
+def test_hypothesis_config_rejects_non_finite_tolerances():
+    for key in ("eps_theta", "eps_phi", "min_dist"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=key):
+                HypothesisConfig(**{key: value})
+
+
+def test_match_refuses_a_nan_angle_tolerance():
+    # A NaN eps_theta made every orientation test false, so match rejected
+    # a pair it registers exactly by default; now the config is refused.
+    es = random_edge_set(150, 200, 200, seed=3)
+    assert match(es, es).decided
+    with pytest.raises(ValueError, match="eps_theta"):
+        match(es, es, HypothesisConfig(eps_theta=math.nan))
+
+
 # ------------------------------------------------------------ pair quality
 
 
@@ -152,23 +172,13 @@ def test_enumerate_matches_brute_force(rows, min_dist, min_sep, cap):
     assert keys == sorted(keys)
 
 
-@settings(max_examples=16)
-@given(
-    st.integers(100, 400),
-    st.sampled_from([1, 3, 300]),
-    st.sampled_from([2, 4, 10]),
-    st.floats(0.0, 0.5),
-    st.booleans(),
-    st.sampled_from([1, 64, basis_mod._CHUNK_PAIRS]),
-    st.integers(0, 2**31 - 1),
-)
-def test_enumerate_pruned_matches_brute_force(n, cap, levels, unreliable, exact, chunk, seed):
-    # Enough edges that the confidence bound stops the enumeration early;
-    # confidences on a few levels, so that bounds and qualities tie.  With
-    # `exact`, edges sit in two opposite corners with axis-aligned
-    # orientations, so admissible couples span the half diagonal at right
-    # angles and their quality equals the bound conf_i * conf_j, and equal
-    # bounds arise from different confidences (0.25 * 1.0 == 0.5 * 0.5).
+def tie_heavy_set(n, levels, unreliable, exact, seed):
+    """n edges in 200x200 whose confidences lie on a few levels, so that
+    bounds and qualities tie.  With `exact`, edges sit in two opposite
+    corners with axis-aligned orientations, so admissible couples span the
+    half diagonal at right angles and their quality equals the bound
+    conf_i * conf_j, and equal bounds arise from different confidences
+    (0.25 * 1.0 == 0.5 * 0.5)."""
     rng = np.random.default_rng(seed)
     if exact:
         corner = rng.integers(0, 2, n) * 180.0
@@ -177,18 +187,97 @@ def test_enumerate_pruned_matches_brute_force(n, cap, levels, unreliable, exact,
     else:
         x, y = rng.uniform(0.0, 200.0, n), rng.uniform(0.0, 200.0, n)
         theta = rng.uniform(0.0, TWO_PI, n)
-    es = EdgeSet.from_arrays(200, 200, x, y, theta, np.zeros(n),
-                             rng.integers(1, levels + 1, n) / levels,
-                             rng.random(n) >= unreliable)
-    cfg = HypothesisConfig(max_basis_a=cap)
-    # Small chunks test the stopping rule after every few couples.
-    with patch.object(basis_mod, "_CHUNK_PAIRS", chunk):
-        got = enumerate_basis_pairs(es, cfg)
-    expected = oracle_basis_pairs(es, cfg)
+    return EdgeSet.from_arrays(200, 200, x, y, theta, np.zeros(n),
+                               rng.integers(1, levels + 1, n) / levels,
+                               rng.random(n) >= unreliable)
+
+
+def assert_matches_oracle(got, expected):
     assert [(b.i, b.j, b.quality, b.dist) for b in got] == [
         (r[1], r[2], r[0], r[4]) for r in expected
     ]
     assert [b.phi for b in got] == pytest.approx([r[3] for r in expected], abs=1e-13)
+
+
+tie_heavy_sets = st.builds(
+    tie_heavy_set,
+    st.integers(100, 400),
+    st.sampled_from([2, 4, 10]),
+    st.floats(0.0, 0.5),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+# Small bands test the yield rule after every few couples.
+band_sizes = st.sampled_from([1, 64, basis_mod._BAND_PAIRS])
+
+
+@settings(max_examples=16)
+@given(tie_heavy_sets, st.sampled_from([1, 3, 300]), band_sizes)
+def test_enumerate_pruned_matches_brute_force(es, cap, band):
+    # Enough edges that the confidence bound stops the enumeration early.
+    cfg = HypothesisConfig(max_basis_a=cap)
+    with patch.object(basis_mod, "_BAND_PAIRS", band):
+        got = enumerate_basis_pairs(es, cfg)
+    assert_matches_oracle(got, oracle_basis_pairs(es, cfg))
+
+
+@settings(max_examples=16)
+@given(tie_heavy_sets, st.sampled_from([3, 40, 300]), band_sizes)
+def test_iter_basis_pairs_prefixes_match_brute_force(es, cap, band):
+    cfg = HypothesisConfig(max_basis_a=cap)
+    expected = oracle_basis_pairs(es, cfg)
+    got = []
+    with patch.object(basis_mod, "_BAND_PAIRS", band):
+        # Each prefix is read from where the last one left the generator.
+        bases = iter_basis_pairs(es, cfg)
+        for t in sorted({1, 2, 3, cap // 4, cap // 2, cap, cap + 1}):
+            got += islice(bases, t - len(got))
+            assert_matches_oracle(got, expected[:t])
+
+
+@pytest.mark.parametrize("band", [8, basis_mod._BAND_PAIRS])
+def test_iter_basis_pairs_with_many_equal_confidences(band):
+    # Confidences saturate at 1.0 on strong contrast, so one bound can be
+    # shared by every couple among many edges: the walk must still advance
+    # through that tie in bands of bounded size.
+    rng = np.random.default_rng(5)
+    n = 200
+    conf = np.where(np.arange(n) % 4 == 0, rng.uniform(0.2, 1.0, n), 1.0)
+    es = EdgeSet.from_arrays(200, 200, rng.uniform(0.0, 200.0, n),
+                             rng.uniform(0.0, 200.0, n), rng.uniform(0.0, TWO_PI, n),
+                             np.zeros(n), conf, np.ones(n, dtype=bool))
+    cfg = HypothesisConfig(max_basis_a=50)
+    expected = oracle_basis_pairs(es, cfg)
+    assert len(expected) == 50
+    # _fold_half first sees the orientation separations of a whole band.
+    seen, fold_half = [], basis_mod._fold_half
+
+    def spy(d):
+        seen.append(d.size)
+        return fold_half(d)
+
+    with patch.object(basis_mod, "_BAND_PAIRS", band), patch.object(basis_mod, "_fold_half", spy):
+        bases = iter_basis_pairs(es, cfg)
+        assert_matches_oracle(list(islice(bases, 7)), expected[:7])
+        # The generator stops after max_basis_a couples.
+        assert_matches_oracle(list(bases), expected[7:])
+    assert 0 < max(seen) <= 2 * band
+
+
+def test_iter_basis_pairs_ranks_zero_confidence_couples_last():
+    # Couples of a zero-confidence edge have bound and quality 0; the walk
+    # must reach them without dividing by a zero confidence.
+    rng = np.random.default_rng(9)
+    n = 60
+    conf = np.where(np.arange(n) % 3 == 0, 0.0, rng.uniform(0.1, 1.0, n))
+    es = EdgeSet.from_arrays(200, 200, rng.uniform(0.0, 200.0, n),
+                             rng.uniform(0.0, 200.0, n), rng.uniform(0.0, TWO_PI, n),
+                             np.zeros(n), conf, np.ones(n, dtype=bool))
+    cfg = HypothesisConfig(max_basis_a=10_000)
+    expected = oracle_basis_pairs(es, cfg)
+    assert expected[-1][0] == 0.0
+    with patch.object(basis_mod, "_BAND_PAIRS", 16):
+        assert_matches_oracle(list(iter_basis_pairs(es, cfg)), expected)
 
 
 def test_enumerate_skips_unreliable_edges():

@@ -298,3 +298,19 @@ def test_config_rejects_invalid_values(self_pair, tmp_path, capsys):
         rc = main(["match", "--ref", ref, "--probe", probe, "--config", str(cfg)])
         assert rc == 2, doc
         assert "invalid config section" in capsys.readouterr().err
+
+
+def test_config_rejects_nan_tolerances(self_pair, tmp_path, capsys):
+    # json reads NaN, and `x <= 0.0` is false for it: a NaN tolerance was
+    # accepted and made every angle or position test fail.
+    ref, probe = self_pair
+    cfg = tmp_path / "cfg.json"
+    for section, key in (("hypothesis", "eps_theta"), ("hypothesis", "eps_phi"),
+                         ("hypothesis", "min_dist"), ("verify", "eps_pos"),
+                         ("verify", "eps_theta")):
+        cfg.write_text(json.dumps({section: {key: float("nan")}}))
+        assert "NaN" in cfg.read_text()
+        rc = main(["match", "--ref", ref, "--probe", probe, "--config", str(cfg)])
+        assert rc == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err

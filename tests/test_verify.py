@@ -77,6 +77,13 @@ def test_verify_config_validation():
             VerifyConfig(**bad)
 
 
+def test_verify_config_rejects_non_finite_tolerances():
+    for key in ("eps_pos", "eps_theta"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=key):
+                VerifyConfig(**{key: value})
+
+
 # ---------------------------------------------------------- coincidences
 
 
