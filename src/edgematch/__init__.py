@@ -58,6 +58,7 @@ from .verify import (
     VerifyConfig,
     count_coincidences,
     match,
+    screen_branches,
     sequential_verify,
 )
 
@@ -103,6 +104,7 @@ __all__ = [
     "render_overlay",
     "render_shapes",
     "save_pgm",
+    "screen_branches",
     "search",
     "serialize",
     "spectral_gradient",

@@ -311,27 +311,32 @@ def query_near_batch(
     es: EdgeSet,
     x,
     y,
-    radius: float,
+    radius,
     theta,
     eps_theta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All (query, edge) index pairs where edge lies within `radius` of the
+    """All (query, edge) index pairs where edge lies within radius[q] of the
     query point (x[q], y[q]) and within `eps_theta` of theta[q].
 
-    Returns two int64 arrays sorted by query, then edge.  The distance
-    predicate is evaluated as dx*dx + dy*dy <= radius*radius; results are
-    identical to a full scan applying the same tests, for any point,
-    including points outside the frame.  Looks the candidates up in
-    ``es.grid``.
+    `radius` is one value for every query or one value per query; each must
+    be non-negative (infinity is allowed, NaN is not).  Returns two int64
+    arrays sorted by query, then edge.  The distance predicate is evaluated
+    as dx*dx + dy*dy <= radius[q]*radius[q]; results are identical to a full
+    scan applying the same tests, for any point, including points outside
+    the frame.  Looks the candidates up in ``es.grid``.
     """
-    if radius < 0.0:
-        raise ValueError("radius must be non-negative")
     qx, qy = pts = np.array([x, y], dtype=np.float64).reshape(2, -1)
     qt = np.asarray(theta, dtype=np.float64)
+    r = np.broadcast_to(np.asarray(radius, dtype=np.float64), qx.shape)
+    if not (r >= 0.0).all():
+        raise ValueError("every radius must be non-negative, and not NaN")
+    # A radius above 1e154 squares to inf, which every distance is within.
+    with np.errstate(over="ignore"):
+        r2 = r * r
     index = es.grid
     size = np.array([[index.nx], [index.ny]])
     # Widen the window past the rounding of the distance predicate.
-    pad = radius + 1e-9 * (1.0 + radius + np.abs(pts).max(axis=0))
+    pad = r + 1e-9 * (1.0 + r + np.abs(pts).max(axis=0))
     lo = np.floor((pts - pad) / index.cell_size)
     hi = np.floor((pts + pad) / index.cell_size)
     # Clip each window to the grid; one that misses it gets no cell rows.
@@ -349,7 +354,7 @@ def query_near_batch(
     arr = es.arrays()
     dx = arr.x[edge] - qx[q]
     dy = arr.y[edge] - qy[q]
-    ok = (dx * dx + dy * dy <= radius * radius) & (
+    ok = (dx * dx + dy * dy <= r2[q]) & (
         angular_distance_array(arr.theta[edge], qt[q]) <= eps_theta
     )
     q, edge = q[ok], edge[ok]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
@@ -19,6 +20,8 @@ _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 MANIFEST_NAME = "manifest.json"
 MODELS_DIR = "models"
+# Writers hold an exclusive flock on this file in the gallery root.
+LOCK_NAME = "gallery.lock"
 
 
 class GalleryError(ValueError):
@@ -123,30 +126,37 @@ def enroll(
 ) -> Gallery:
     """Add one model under a unique id; returns the updated gallery.
 
-    The model file is written first, then the manifest, each atomically
-    (temp file + rename), so a crash can orphan a model file but never leave
-    the manifest pointing at a missing or partial one.
+    Enrolments into one root are serialized by an exclusive lock on
+    gallery.lock in the root.  Under it the manifest is read again, so the
+    new entry joins whatever other writers have enrolled since `gallery` was
+    loaded, and the id is checked against that manifest.  The model file is
+    written first, then the manifest, each atomically (temp file + rename),
+    so a crash can orphan a model file but never leave the manifest pointing
+    at a missing or partial one.
     """
     rel = _model_file(id)
-    if id in gallery.ids():
-        raise GalleryError(f"id {id!r} already enrolled")
     root = gallery.root
-    models = root / MODELS_DIR
     try:
-        models.mkdir(parents=True, exist_ok=True)
+        (root / MODELS_DIR).mkdir(parents=True, exist_ok=True)
+        lock = open(root / LOCK_NAME, "a")
     except OSError as exc:
         raise GalleryError(f"gallery root not writable: {exc}") from None
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat()
-    entry = GalleryEntry(
-        id=id, file=rel, source=source, edge_count=len(es), enrolled_at=timestamp
-    )
-    entries = gallery.manifest + [entry]
-    try:
-        _atomic_write(root / rel, edges_mod.serialize(es))
-        _atomic_write(root / MANIFEST_NAME, _manifest_bytes(entries))
-    except OSError as exc:
-        raise GalleryError(f"gallery root not writable: {exc}") from None
+    with lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        manifest = load_gallery(root).manifest
+        if id in (e.id for e in manifest):
+            raise GalleryError(f"id {id!r} already enrolled")
+        if timestamp is None:
+            timestamp = datetime.now(timezone.utc).isoformat()
+        entry = GalleryEntry(
+            id=id, file=rel, source=source, edge_count=len(es), enrolled_at=timestamp
+        )
+        entries = manifest + [entry]
+        try:
+            _atomic_write(root / rel, edges_mod.serialize(es))
+            _atomic_write(root / MANIFEST_NAME, _manifest_bytes(entries))
+        except OSError as exc:
+            raise GalleryError(f"gallery root not writable: {exc}") from None
     return Gallery(root=root, manifest=entries)
 
 

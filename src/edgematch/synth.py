@@ -35,10 +35,10 @@ class CorruptionSpec:
     def __post_init__(self):
         if not (0.0 <= self.dropout <= 1.0):
             raise ValueError("dropout must lie in [0, 1]")
-        if self.jitter_pos < 0.0 or self.jitter_theta < 0.0:
-            raise ValueError("jitter magnitudes must be non-negative")
-        if self.clutter_frac < 0.0:
-            raise ValueError("clutter_frac must be non-negative")
+        for name in ("jitter_pos", "jitter_theta", "clutter_frac"):
+            v = getattr(self, name)
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be non-negative and finite, got {v!r}")
 
 
 def _uniform_edges(rng: np.random.Generator, n: int, width: int, height: int):

@@ -17,7 +17,6 @@ inherits their jitter, while the refit averages it over every coincidence.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -187,6 +186,52 @@ def count_coincidences(
     return pairs, score
 
 
+def screen_branches(
+    ref: EdgeSet,
+    probe: EdgeSet,
+    transforms: list[Transform],
+    initial_confidence: float,
+    cfg: VerifyConfig | None = None,
+) -> list[tuple[float, bool]]:
+    """Cheap sequential screen of several hypotheses that share one initial
+    confidence, one (confidence, pruned) pair per transform.
+
+    For each transform, visits the probe_count most confident reference
+    edges (ties by lower index), looks for a probe edge within eps_pos / s
+    of the inverse-mapped position with a compatible orientation, and
+    multiplies the confidence by miss_factor on each failure.  Hits leave it
+    unchanged.  A branch is pruned, and its walk stops, once the confidence
+    falls below prune_threshold.  One batched query serves every transform.
+    """
+    if cfg is None:
+        cfg = VerifyConfig()
+    if initial_confidence < cfg.prune_threshold:
+        return [(initial_confidence, True)] * len(transforms)
+    if not transforms:
+        return []
+    arr_a = ref.arrays()
+    order = ref.ranked[: cfg.probe_count]
+    s, tx, ty = (np.array(v)[:, None] for v in zip(*((t.s, t.tx, t.ty) for t in transforms)))
+    # Row b holds the reference edges inverted through transform b, with the
+    # bits of Transform.invert.
+    px = (arr_a.x[order] - tx) / s
+    py = (arr_a.y[order] - ty) / s
+    radius = np.repeat(cfg.eps_pos / s, order.size)
+    theta = np.tile(arr_a.theta[order], len(transforms))
+    q, _ = query_near_batch(probe, px, py, radius, theta, cfg.eps_theta)
+    out = []
+    for row in np.bincount(q, minlength=px.size).reshape(px.shape).tolist():
+        confidence, pruned = initial_confidence, False
+        for hits in row:
+            if hits == 0:
+                confidence *= cfg.miss_factor
+                if confidence < cfg.prune_threshold:
+                    pruned = True
+                    break
+        out.append((confidence, pruned))
+    return out
+
+
 def sequential_verify(
     ref: EdgeSet,
     probe: EdgeSet,
@@ -194,31 +239,9 @@ def sequential_verify(
     initial_confidence: float,
     cfg: VerifyConfig | None = None,
 ) -> tuple[float, bool]:
-    """Cheap sequential screen of one hypothesis.
-
-    Visits the probe_count most confident reference edges (ties by lower
-    index), looks for a probe edge within eps_pos / s of the inverse-mapped
-    position with a compatible orientation, and multiplies the confidence by
-    miss_factor on each failure.  Hits leave it unchanged.  Returns the final
-    confidence and whether it fell below prune_threshold (early exit).
-    """
-    if cfg is None:
-        cfg = VerifyConfig()
-    confidence = initial_confidence
-    if confidence < cfg.prune_threshold:
-        return confidence, True
-    arr_a = ref.arrays()
-    order = ref.ranked[: cfg.probe_count]
-    px, py = transform.invert(arr_a.x[order], arr_a.y[order])
-    q, _ = query_near_batch(
-        probe, px, py, cfg.eps_pos / transform.s, arr_a.theta[order], cfg.eps_theta
-    )
-    for hits in np.bincount(q, minlength=order.size).tolist():
-        if hits == 0:
-            confidence *= cfg.miss_factor
-            if confidence < cfg.prune_threshold:
-                return confidence, True
-    return confidence, False
+    """:func:`screen_branches` of one hypothesis: its final confidence and
+    whether it fell below prune_threshold."""
+    return screen_branches(ref, probe, [transform], initial_confidence, cfg)[0]
 
 
 def _refit_transform(
@@ -267,7 +290,8 @@ def match(
 
     Walks reference basis couples in quality order; each compatible probe
     couple opens a branch with initial confidence equal to the basis quality.
-    Branches are screened by sequential_verify, counted by
+    The couples of one basis are screened together by screen_branches;
+    each surviving branch, in couple order, is counted by
     count_coincidences, refined once by least squares (keeping whichever of
     the raw and refined transforms counts better), and the search stops at
     max_branches or as soon as a branch reaches accept_score.  The best
@@ -278,29 +302,32 @@ def match(
         hyp_cfg = HypothesisConfig()
     if ver_cfg is None:
         ver_cfg = VerifyConfig()
-    hypotheses = (
-        (bp, n_pair, t_raw)
-        for bp in iter_basis_pairs(ref, hyp_cfg)
-        for n_pair, t_raw in find_compatible_pairs(probe, bp, ref, hyp_cfg)
-    )
     branches = 0
     best = None
-    for branches, (bp, n_pair, t_raw) in enumerate(
-        islice(hypotheses, ver_cfg.max_branches), start=1
-    ):
-        confidence, pruned = sequential_verify(ref, probe, t_raw, bp.quality, ver_cfg)
-        if pruned:
-            continue
-        pairs, score = count_coincidences(ref, probe, t_raw, ver_cfg)
-        t_best, pairs_best, score_best = t_raw, pairs, score
-        t_ref = _refit_transform(ref, probe, pairs, hyp_cfg.s_min, hyp_cfg.s_max)
-        if t_ref is not None:
-            pairs_r, score_r = count_coincidences(ref, probe, t_ref, ver_cfg)
-            if score_r >= score:
-                t_best, pairs_best, score_best = t_ref, pairs_r, score_r
-        if best is None or score_best > best[0]:
-            best = (score_best, t_best, pairs_best, confidence, bp, n_pair)
-        if score_best >= ver_cfg.accept_score:
+    for bp in iter_basis_pairs(ref, hyp_cfg):
+        couples = find_compatible_pairs(probe, bp, ref, hyp_cfg)
+        couples = couples[: ver_cfg.max_branches - branches]
+        screens = screen_branches(ref, probe, [t for _, t in couples], bp.quality, ver_cfg)
+        for (n_pair, t_raw), (confidence, pruned) in zip(couples, screens):
+            branches += 1
+            if pruned:
+                continue
+            pairs, score = count_coincidences(ref, probe, t_raw, ver_cfg)
+            t_best, pairs_best, score_best = t_raw, pairs, score
+            t_ref = _refit_transform(ref, probe, pairs, hyp_cfg.s_min, hyp_cfg.s_max)
+            if t_ref is not None:
+                pairs_r, score_r = count_coincidences(ref, probe, t_ref, ver_cfg)
+                if score_r >= score:
+                    t_best, pairs_best, score_best = t_ref, pairs_r, score_r
+            if best is None or score_best > best[0]:
+                best = (score_best, t_best, pairs_best, confidence, bp, n_pair)
+            if score_best >= ver_cfg.accept_score:
+                break
+        # best holds the top score, so it reaches accept_score exactly when
+        # a branch broke the walk above.
+        if branches == ver_cfg.max_branches or (
+            best is not None and best[0] >= ver_cfg.accept_score
+        ):
             break
     if best is None:
         return MatchResult(decided=False, score=0.0, transform=None,

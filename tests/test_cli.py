@@ -142,6 +142,18 @@ def test_synth_then_match_recovers_the_planted_transform(tmp_path, capsys):
     assert "s=1.1000" in out
 
 
+@pytest.mark.parametrize("flag, field", [("--jitter-pos", "jitter_pos"),
+                                         ("--jitter-theta", "jitter_theta"),
+                                         ("--clutter", "clutter_frac")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_refuses_non_finite_corruption(tmp_path, capsys, flag, field, value):
+    out = tmp_path / "pair"
+    assert main(["synth", "--n", "10", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "pair.probe.edgeset").exists()
+
+
 # ---------------------------------------------------------------------- mc
 
 

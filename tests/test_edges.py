@@ -253,26 +253,48 @@ def test_query_negative_radius_raises():
         query_near_batch(es, [0.0], [0.0], -1.0, [0.0], 0.1)
 
 
+@pytest.mark.parametrize("radius", [math.nan, [1.0, math.nan], [1.0, -1.0]])
+def test_query_nan_or_negative_radius_raises(radius):
+    # A NaN radius used to pass the `radius < 0.0` check and find nothing.
+    es = EdgeSet(64, 64, (Edge(1.0, 1.0, 0.0),))
+    with pytest.raises(ValueError, match="radius"):
+        query_near_batch(es, [1.0, 1.0], [1.0, 1.0], radius, [0.0, 0.0], 0.1)
+
+
+def test_query_infinite_radius_reaches_every_edge():
+    es = grid_set()
+    q, e = query_near_batch(es, [-500.0, 30.0], [20.0, 9000.0], math.inf, [0.0, 0.0], math.pi)
+    assert q.tolist() == [0] * len(es) + [1] * len(es)
+    assert e.tolist() == list(range(len(es))) * 2
+
+
 @given(st.data(), st.sampled_from([(1, 1), (100, 80), (1000, 2)]))
 def test_batched_query_matches_brute_force(data, frame):
     # Up to 40 edges: cells of 0.08 to 0.25 px in the 1x1 frame, 6.7 to 22 px
     # in 100x80, and in 1000x2 one row of cells 5.7 to 62 px wide.  Points lie
-    # well outside the frame and radii reach far past it.
+    # well outside the frame and radii reach far past it, square past the
+    # largest float, or are infinite; one radius serves every query, or each
+    # query has its own.
     w, h = frame
     rows = data.draw(st.lists(st.tuples(
         st.floats(0.0, w, exclude_max=True), st.floats(0.0, h, exclude_max=True), angles),
         max_size=40))
     points = data.draw(st.lists(st.tuples(
         st.floats(-1.5 * w, 2.5 * w), st.floats(-1.5 * h, 2.5 * h), angles), max_size=30))
-    radius = data.draw(st.sampled_from([0.0, 0.025, 0.3, 5.0])) * max(w, h)
+    scale = st.sampled_from([0.0, 0.025, 0.3, 5.0, 1e200, math.inf])
+    if data.draw(st.booleans()):
+        radius = data.draw(scale) * max(w, h)
+    else:
+        radius = np.array([data.draw(scale) for _ in points]) * max(w, h)
     eps_theta = data.draw(st.floats(0.01, math.pi))
     es = EdgeSet(w, h, tuple(Edge(x, y, t) for x, y, t in rows))
     x, y, theta = (np.array([p[k] for p in points], dtype=np.float64) for k in range(3))
     q, e = query_near_batch(es, x, y, radius, theta, eps_theta)
     assert q.dtype == e.dtype == np.int64
+    radii = np.broadcast_to(radius, x.shape).tolist()
     expected = [
         (k, i) for k, (px, py, pt) in enumerate(points)
-        for i in oracle_query(es, px, py, radius, pt, eps_theta)
+        for i in oracle_query(es, px, py, radii[k], pt, eps_theta)
     ]
     assert list(zip(q.tolist(), e.tolist())) == expected
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import edgematch
 from edgematch import edges as edges_mod
 from edgematch import (
     CorruptionSpec,
@@ -51,7 +56,8 @@ def test_enroll_is_byte_reproducible(tmp_path):
 def test_no_temp_files_left_behind(tmp_path):
     build_small_gallery(tmp_path, n_models=2)
     names = [p.name for p in tmp_path.rglob("*") if p.is_file()]
-    assert sorted(names) == ["manifest.json", "model-0.edgeset", "model-1.edgeset"]
+    assert sorted(names) == ["gallery.lock", "manifest.json", "model-0.edgeset",
+                             "model-1.edgeset"]
 
 
 def test_duplicate_id_rejected(tmp_path):
@@ -60,6 +66,62 @@ def test_duplicate_id_rejected(tmp_path):
     g = enroll(g, "m", es, timestamp=TS)
     with pytest.raises(GalleryError, match="already enrolled"):
         enroll(g, "m", es, timestamp=TS)
+
+
+def test_enroll_rereads_the_manifest(tmp_path):
+    # Two handles loaded before either enrolls: the second enroll must keep
+    # the first one's entry and refuse its id.
+    a, b = load_gallery(tmp_path), load_gallery(tmp_path)
+    enroll(a, "m", random_edge_set(10, 64, 64, seed=0), timestamp=TS)
+    with pytest.raises(GalleryError, match="already enrolled"):
+        enroll(b, "m", random_edge_set(10, 64, 64, seed=1), timestamp=TS)
+    assert enroll(b, "n", random_edge_set(10, 64, 64, seed=2), timestamp=TS).ids() == ["m", "n"]
+    assert load_gallery(tmp_path).ids() == ["m", "n"]
+
+
+# Run by each writer of test_concurrent_enrolls_keep_every_entry: load the
+# gallery, signal ready, wait for the go file, then enroll four models.
+ENROLL_WORKER = """
+import sys, time
+from pathlib import Path
+from edgematch import enroll, load_gallery, random_edge_set
+root, w, ready, go = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3]), Path(sys.argv[4])
+g = load_gallery(root)
+models = [random_edge_set(50, 64, 64, seed=10 * w + k) for k in range(4)]
+ready.touch()
+while not go.exists():
+    time.sleep(0.001)
+for k, es in enumerate(models):
+    g = enroll(g, f"w{w}-m{k}", es)
+"""
+
+
+def test_concurrent_enrolls_keep_every_entry(tmp_path):
+    root, go = tmp_path / "g", tmp_path / "go"
+    ready = [tmp_path / f"ready{w}" for w in range(4)]
+    src = str(Path(edgematch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    procs = [subprocess.Popen([sys.executable, "-c", ENROLL_WORKER, str(root), str(w),
+                               str(ready[w]), str(go)], env=env)
+             for w in range(4)]
+    try:
+        deadline = time.monotonic() + 60.0
+        while not all(r.exists() for r in ready):
+            assert time.monotonic() < deadline
+            assert all(p.poll() is None for p in procs)
+            time.sleep(0.01)
+        go.touch()
+        codes = [p.wait(timeout=60.0) for p in procs]
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+                p.wait()
+    assert codes == [0, 0, 0, 0]
+    want = sorted(f"w{w}-m{k}" for w in range(4) for k in range(4))
+    assert sorted(load_gallery(root).ids()) == want
+    assert sorted(f.name for f in (root / "models").iterdir()) == [f"{i}.edgeset" for i in want]
 
 
 @pytest.mark.parametrize("bad_id", ["", ".hidden", "-x", "_x", "a/b", "a b", "a:b", "x\n"])

@@ -113,6 +113,14 @@ def test_corruption_spec_validation():
                        clutter_frac=0.0, seed=0)
 
 
+@pytest.mark.parametrize("field", ["jitter_pos", "jitter_theta", "clutter_frac"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-9])
+def test_corruption_spec_rejects_non_finite_magnitudes(field, value):
+    # NaN passed the old `< 0.0` checks and emptied or broke the probe.
+    with pytest.raises(ValueError, match=f"{field} must be non-negative and finite"):
+        CorruptionSpec(**{field: value})
+
+
 # --------------------------------------------------------------- rendering
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from edgematch import (
     corrupt_and_transform,
     count_coincidences,
     match,
+    query_near_batch,
     random_edge_set,
+    screen_branches,
     sequential_verify,
 )
+from edgematch import verify as verify_mod
 from edgematch.edges import TWO_PI
 from edgematch.verify import _refit_transform
 
@@ -232,6 +236,64 @@ def test_sequential_only_probes_the_top_edges():
     assert (conf, pruned) == (1.0, False)
 
 
+def screen_oracle(ref, probe, transform, confidence, cfg):
+    """One hypothesis at a time, with one scalar-radius query per transform:
+    the screen as it was before couples were batched."""
+    if confidence < cfg.prune_threshold:
+        return confidence, True
+    arr = ref.arrays()
+    order = ref.ranked[: cfg.probe_count]
+    px, py = transform.invert(arr.x[order], arr.y[order])
+    q, _ = query_near_batch(probe, px, py, cfg.eps_pos / transform.s, arr.theta[order],
+                            cfg.eps_theta)
+    hits = np.bincount(q, minlength=order.size)
+    for h in hits.tolist():
+        if h == 0:
+            confidence *= cfg.miss_factor
+            if confidence < cfg.prune_threshold:
+                return confidence, True
+    return confidence, False
+
+
+@given(st.data(), st.sampled_from([0, 1, 10]))
+def test_screen_branches_equals_one_screen_per_transform(data, n_branches):
+    hyp = HypothesisConfig()
+    n = data.draw(st.integers(0, 40))
+    ref = random_edge_set(n, 128, 96, seed=data.draw(st.integers(0, 2**16)))
+    truth = Transform(s=data.draw(st.floats(hyp.s_min, hyp.s_max)), tx=3.0, ty=-2.0)
+    spec = CorruptionSpec(dropout=data.draw(st.sampled_from([0.0, 0.3, 0.8])),
+                          jitter_pos=0.5, clutter_frac=0.5, seed=7)
+    probe = corrupt_and_transform(ref, truth, spec, 128, 96)
+    # Half the hypotheses sit near the truth, so branches hit as well as miss.
+    scales = st.sampled_from([hyp.s_min, hyp.s_max]) | st.floats(hyp.s_min, hyp.s_max)
+    transforms = [
+        truth if data.draw(st.booleans()) else
+        Transform(s=data.draw(scales), tx=data.draw(st.floats(-40.0, 40.0)),
+                  ty=data.draw(st.floats(-40.0, 40.0)))
+        for _ in range(n_branches)
+    ]
+    cfg = VerifyConfig(probe_count=data.draw(st.sampled_from([1, 5, 20, 60])),
+                       miss_factor=data.draw(st.sampled_from([0.5, 0.8, 0.95])),
+                       prune_threshold=data.draw(st.sampled_from([0.0, 0.3, 0.6])))
+    initial = data.draw(st.sampled_from([0.1, 0.29, 0.3, 0.5, 1.0]))
+    got = screen_branches(ref, probe, transforms, initial, cfg)
+    assert got == [screen_oracle(ref, probe, t, initial, cfg) for t in transforms]
+    assert [sequential_verify(ref, probe, t, initial, cfg) for t in transforms] == got
+
+
+def test_screen_branches_keeps_each_branch_apart():
+    # The same misses at two scales: eps_pos / s is each branch's own radius.
+    ref = grid_ref()
+    probe = drop_indices(ref, set(range(6)))
+    half = Transform(s=0.5, tx=0.0, ty=0.0)
+    cfg = VerifyConfig()
+    got = screen_branches(ref, probe, [IDENTITY, half, IDENTITY], 1.0, cfg)
+    assert got[0] == got[2] == screen_oracle(ref, probe, IDENTITY, 1.0, cfg)
+    assert got[0] == (pytest.approx(0.262144, rel=1e-12), True)
+    assert got[1] == screen_oracle(ref, probe, half, 1.0, cfg)
+    assert screen_branches(ref, probe, [], 1.0) == []
+
+
 # ------------------------------------------------------------------ refit
 
 
@@ -414,6 +476,46 @@ PINNED_MATCH_SHA256 = [
     "077b8231b3b23cfad437fe571687e1025e8b0194ad0e4ad35f25caef3f38a959",
     "de937e88137f1c7d57c66aa9d986608764ba3823d77574e22a964a52f912cfa0",
 ]
+
+
+# sha256 of the newline-joined sorted-key JSON of match() on all of
+# identity_cases() with accept_score 1.0, so that every branch up to the
+# budget is tried, per max_branches; taken before the couples of one basis
+# were screened in one batch.  Most bases give 10 couples (some give 1-8), so
+# the budgets cut inside the first basis, at its end, and inside the second
+# and third.
+PINNED_BUDGET_SHA256 = {
+    1: "72e3d823576c1e4f5243a2e99e5de5cdb28a2b9e8366493282bca1a2dd847db8",
+    7: "9a0c42d23ef62d8e98ab893f5258019ffdbb03c7b5f5b9031e5e9b0f7710c98a",
+    10: "e71a31b4f005bf5ffa9c61112330046e69b02b7d86cef90961f17fc8da3d589e",
+    11: "3fbca28e5a5c5ce60b7faa8f4b200c66fbff0fb22e83a53b966ed50f67274957",
+    23: "ac9360b933ce02168bbafdcc85768af0cfb41667fa5ef932bf7cdc629a8ab760",
+}
+
+
+def test_match_budget_digests_pinned():
+    cases = list(identity_cases())
+    got = {}
+    for budget in PINNED_BUDGET_SHA256:
+        docs = [json.dumps(match(ref, probe, hyp, replace(ver, max_branches=budget,
+                                                            accept_score=1.0)).to_json_dict(),
+                           sort_keys=True)
+                for ref, probe, hyp, ver in cases]
+        got[budget] = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+    assert got == PINNED_BUDGET_SHA256
+
+
+def test_match_reads_no_basis_past_the_budget(monkeypatch):
+    # The first three bases of case 0 give 10 compatible couples each.
+    ref, probe, hyp, ver = next(identity_cases())
+    calls = []
+    real = verify_mod.find_compatible_pairs
+    monkeypatch.setattr(verify_mod, "find_compatible_pairs",
+                        lambda *a: calls.append(1) or real(*a))
+    for budget, bases in ((1, 1), (10, 1), (11, 2), (20, 2), (23, 3)):
+        calls.clear()
+        res = match(ref, probe, hyp, replace(ver, max_branches=budget, accept_score=1.0))
+        assert (res.branches_tried, len(calls)) == (budget, bases)
 
 
 def test_match_json_digests_pinned():
