@@ -10,6 +10,7 @@ from .basis import (
     BasisPair,
     HypothesisConfig,
     Transform,
+    compatible_pairs,
     enumerate_basis_pairs,
     find_compatible_pairs,
     iter_basis_pairs,
@@ -84,6 +85,7 @@ __all__ = [
     "Rect",
     "Transform",
     "VerifyConfig",
+    "compatible_pairs",
     "corrupt_and_transform",
     "count_coincidences",
     "enroll",

@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .edges import (
     TWO_PI,
     EdgeSet,
+    _segment_ranges,
     angular_distance_array,
     require_int,
     require_positive,
@@ -119,8 +121,12 @@ _BAND_FIRST = 1 << 7
 _BAND_PAIRS = 1 << 13
 # Halvings of the bound interval spent sizing one band.
 _BAND_SEARCH = 10
-# Cells of the cand1 x cand2 matrix that find_compatible_pairs holds at once.
+# Cells of the cand1 x cand2 blocks that compatible_pairs holds at once.
 _CHUNK_CELLS = 1 << 18
+# Widening, in radians, of the orientation windows and the direction cone
+# that narrow the candidates of compatible_pairs: far above the rounding
+# (about 1e-15) of the exact tests they precede.
+_ANGLE_PAD = 1e-6
 
 
 def _band_ends(cs, hi, front, lo, size):
@@ -264,6 +270,113 @@ def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> l
     return list(iter_basis_pairs(es, cfg))
 
 
+class CompatibleCouples(NamedTuple):
+    """Probe couples compatible with a list of bases, as flat columns.
+
+    Couple t matches probe edges (n1[t], n2[t]) to bases[basis[t]] under
+    the transform (s[t], tx[t], ty[t]).
+    """
+
+    basis: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    s: np.ndarray
+    tx: np.ndarray
+    ty: np.ndarray
+
+
+def _near_theta(probe: EdgeSet, theta: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(query k, probe edge) pairs where the edge's orientation lies within
+    eps of theta[k], sorted by query.
+
+    Each query reads a window of probe.theta_order on the circle, padded by
+    _ANGLE_PAD past the rounding of the exact test that follows, and clipped
+    to len(probe) entries, so that no edge comes twice when eps >= pi.
+    """
+    order = probe.theta_order
+    n = order.size
+    th = probe.arrays().theta
+    ts = th[order]
+    # One lap of the circle on either side of [0, 2*pi) holds the wrapped ends.
+    laps = np.concatenate((ts - TWO_PI, ts, ts + TWO_PI))
+    w = eps + _ANGLE_PAD
+    lo = np.searchsorted(laps, theta - w, side="left")
+    hi = np.minimum(np.searchsorted(laps, theta + w, side="right"), lo + n)
+    edge = np.tile(order, 3)[_segment_ranges(lo, hi - lo)]
+    k = np.arange(theta.size).repeat(hi - lo)
+    ok = angular_distance_array(th[edge], theta[k]) <= eps
+    return k[ok], edge[ok]
+
+
+def compatible_pairs(
+    probe: EdgeSet,
+    bases: list[BasisPair],
+    ref: EdgeSet,
+    cfg: HypothesisConfig | None = None,
+) -> CompatibleCouples:
+    """The couples of :func:`find_compatible_pairs` for every basis at once,
+    ordered by basis, then as find_compatible_pairs orders them, each basis
+    capped at max_pairs_n.
+
+    Every basis contributes a block of cand1 x cand2 cells, and the blocks
+    are tested together, in chunks of whole cand1 rows that hold at most
+    _CHUNK_CELLS cells unless one row holds more.  A
+    direction cone, dx cos(phi) + dy sin(phi) >= dist cos(eps_phi + pad),
+    drops cells before the arctan2 of the exact phi test; it never drops a
+    cell that the exact test keeps.
+    """
+    if cfg is None:
+        cfg = HypothesisConfig()
+    arr = probe.arrays()
+    r = ref.arrays()
+    bi, bj = (np.array([getattr(b, f) for b in bases], dtype=np.int64) for f in ("i", "j"))
+    phi_b, d_ref = (np.array([getattr(b, f) for b in bases], dtype=np.float64)
+                    for f in ("phi", "dist"))
+    # Queries 0..K-1 find the candidates of the edges i, K..2K-1 those of j.
+    q, cand = _near_theta(probe, r.theta[np.concatenate((bi, bj))], cfg.eps_theta)
+    split = np.searchsorted(q, len(bases))
+    k1, cand1 = q[:split], cand[:split]
+    k2, cand2 = q[split:] - len(bases), cand[split:]
+    c2 = np.bincount(k2, minlength=len(bases))
+    off2 = np.cumsum(c2) - c2
+    cone = cfg.eps_phi + _ANGLE_PAD
+    cos_b, sin_b = np.cos(phi_b), np.sin(phi_b)
+    parts = []
+    # Row t of the cells pairs cand1[t] with every cand2 of its basis k1[t].
+    # One empty chunk when there are no rows, so the columns keep their dtypes.
+    step = max(1, _CHUNK_CELLS // max(int(c2.max(initial=0)), 1))
+    for start in range(0, max(cand1.size, 1), step):
+        kr = k1[start:start + step]
+        width = c2[kr]
+        k = kr.repeat(width)
+        n1 = cand1[start:start + step].repeat(width)
+        n2 = cand2[_segment_ranges(off2[kr], width)]
+        dx = arr.x[n2] - arr.x[n1]
+        dy = arr.y[n2] - arr.y[n1]
+        dist = np.sqrt(dx * dx + dy * dy)
+        with np.errstate(divide="ignore"):
+            s = d_ref[k] / dist
+        # dist > 0 also drops n2 == n1.
+        ok = (dist > 0.0) & (s >= cfg.s_min) & (s <= cfg.s_max)
+        if cone < _PI:
+            ok &= dx * cos_b[k] + dy * sin_b[k] >= dist * math.cos(cone)
+        k, n1, n2, dx, dy, s = (v[ok] for v in (k, n1, n2, dx, dy, s))
+        phi = wrap_angle(np.arctan2(dy, dx))
+        ok = angular_distance_array(phi, phi_b[k]) <= cfg.eps_phi
+        k, n1, n2, s = (v[ok] for v in (k, n1, n2, s))
+        tx = r.x[bi[k]] - s * arr.x[n1]
+        ty = r.y[bi[k]] - s * arr.y[n1]
+        rx = s * arr.x[n2] + tx - r.x[bj[k]]
+        ry = s * arr.y[n2] + ty - r.y[bj[k]]
+        parts.append((k, np.sqrt(rx * rx + ry * ry), n1, n2, s, tx, ty))
+    k, residual, n1, n2, s, tx, ty = (np.concatenate(v) for v in zip(*parts))
+    by = np.lexsort((n2, n1, residual, k))
+    # A couple's rank within its basis, from the first couple of that basis.
+    rank = np.arange(by.size) - np.searchsorted(k[by], k[by], side="left")
+    top = by[rank < cfg.max_pairs_n]
+    return CompatibleCouples(k[top], n1[top], n2[top], s[top], tx[top], ty[top])
+
+
 def find_compatible_pairs(
     probe: EdgeSet,
     basis: BasisPair,
@@ -279,44 +392,9 @@ def find_compatible_pairs(
     implied scale s = basis.dist / dist_probe lies in [s_min, s_max].  The
     transform anchors exactly: s * p_n1 + t == p_ref1.  The result is capped
     at max_pairs_n by ascending residual |s * p_n2 + t - p_ref2|, ties broken
-    by lower n1 then n2.  Deterministic.
+    by lower n1 then n2.  Deterministic.  The one-basis case of
+    :func:`compatible_pairs`.
     """
-    if cfg is None:
-        cfg = HypothesisConfig()
-    arr = probe.arrays()
-    r = ref.arrays()
-    i, j = basis.i, basis.j
-    cand1 = np.nonzero(angular_distance_array(arr.theta, r.theta[i]) <= cfg.eps_theta)[0]
-    cand2 = np.nonzero(angular_distance_array(arr.theta, r.theta[j]) <= cfg.eps_theta)[0]
-    if cand1.size == 0 or cand2.size == 0:
-        return []
-    d_ref = basis.dist
-    parts = []
-    step = max(1, _CHUNK_CELLS // cand2.size)
-    for k in range(0, cand1.size, step):
-        rows = cand1[k:k + step]
-        n1, n2 = np.repeat(rows, cand2.size), np.tile(cand2, rows.size)
-        x1, y1 = arr.x[n1], arr.y[n1]
-        dx = arr.x[n2] - x1
-        dy = arr.y[n2] - y1
-        dist = np.sqrt(dx * dx + dy * dy)
-        # dist > 0 also drops n2 == n1.
-        ok = dist > 0.0
-        n1, n2, x1, y1, dx, dy, dist = (v[ok] for v in (n1, n2, x1, y1, dx, dy, dist))
-        s = d_ref / dist
-        ok = (s >= cfg.s_min) & (s <= cfg.s_max)
-        n1, n2, x1, y1, dx, dy, s = (v[ok] for v in (n1, n2, x1, y1, dx, dy, s))
-        phi = wrap_angle(np.arctan2(dy, dx))
-        ok = angular_distance_array(phi, basis.phi) <= cfg.eps_phi
-        n1, n2, x1, y1, s = (v[ok] for v in (n1, n2, x1, y1, s))
-        tx = r.x[i] - s * x1
-        ty = r.y[i] - s * y1
-        rx = s * arr.x[n2] + tx - r.x[j]
-        ry = s * arr.y[n2] + ty - r.y[j]
-        parts.append((np.sqrt(rx * rx + ry * ry), n1, n2, s, tx, ty))
-    residual, n1, n2, s, tx, ty = (np.concatenate(v) for v in zip(*parts))
-    top = np.lexsort((n2, n1, residual))[: cfg.max_pairs_n]
-    return [
-        ((int(n1[t]), int(n2[t])), Transform(s=float(s[t]), tx=float(tx[t]), ty=float(ty[t])))
-        for t in top
-    ]
+    c = compatible_pairs(probe, [basis], ref, cfg)
+    return [((n1, n2), Transform(s=s, tx=tx, ty=ty))
+            for n1, n2, s, tx, ty in zip(*(v.tolist() for v in c[1:]))]

@@ -15,6 +15,7 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -103,8 +104,9 @@ class EdgeSet:
     returned by :meth:`arrays`; :attr:`edges` lists them as rows.  Build a
     set from columns with :meth:`from_arrays`, or from :class:`Edge` rows
     with ``EdgeSet(width, height, edges)``.  Treated as immutable, so the
-    confidence ranking (:attr:`ranked`) and the grid over the positions
-    (:attr:`grid`) are computed once, on first use.
+    confidence ranking (:attr:`ranked`), the orientation order
+    (:attr:`theta_order`) and the grid over the positions (:attr:`grid`) are
+    computed once, on first use.
     """
 
     def __init__(self, width: int, height: int, edges: Iterable[Edge] = ()):
@@ -169,6 +171,12 @@ class EdgeSet:
         return np.argsort(-self._cache.confidence, kind="stable")
 
     @cached_property
+    def theta_order(self) -> np.ndarray:
+        """Edge indices in ascending theta, ties by lower index; shared, do
+        not modify."""
+        return np.argsort(self._cache.theta, kind="stable")
+
+    @cached_property
     def grid(self) -> SpatialIndex:
         """The :func:`build_index` grid of the positions; shared, do not
         modify."""
@@ -201,6 +209,35 @@ def _parse_float(token: str, what: str, lineno: int) -> float:
         return float(token)
     except ValueError:
         raise EdgeSetFormatError(f"line {lineno}: non-numeric {what} {token!r}") from None
+
+
+def _parse_table(body: list[str]) -> np.ndarray:
+    """The (len(body), 6) table of the EDGESET body lines, the flags as 0.0
+    and 1.0.
+
+    A regular body, six fields a line with each flag 0 or 1, is converted
+    in one pass; any other body is read line by line, to name its first bad
+    field.  The tokens are freed on return, before the caller allocates the
+    set's columns.
+    """
+    tokens = [line.split() for line in body]
+    if all(len(fields) == 6 and fields[5] in ("0", "1") for fields in tokens):
+        try:
+            return np.fromiter(map(float, chain.from_iterable(tokens)), np.float64,
+                               6 * len(body)).reshape(len(body), 6)
+        except ValueError:
+            pass
+    rows = []
+    for k, fields in enumerate(tokens):
+        lineno = k + 3
+        if len(fields) != 6:
+            raise EdgeSetFormatError(f"line {lineno}: expected 6 fields, got {len(fields)}")
+        row = [_parse_float(t, what, lineno)
+               for t, what in zip(fields, ("x", "y", "theta", "kappa", "confidence"))]
+        if fields[5] not in ("0", "1"):
+            raise EdgeSetFormatError(f"line {lineno}: reliable flag must be 0 or 1")
+        rows.append(row + [fields[5] == "1"])
+    return np.array(rows).reshape(len(body), 6)
 
 
 def parse(data: bytes | str) -> EdgeSet:
@@ -243,19 +280,9 @@ def parse(data: bytes | str) -> EdgeSet:
     body = lines[2:]
     if len(body) != count:
         raise EdgeSetFormatError(f"header declares {count} edges, file has {len(body)} lines")
-    rows = []
-    for k, line in enumerate(body):
-        lineno = k + 3
-        fields = line.split()
-        if len(fields) != 6:
-            raise EdgeSetFormatError(f"line {lineno}: expected 6 fields, got {len(fields)}")
-        row = [_parse_float(t, what, lineno)
-               for t, what in zip(fields, ("x", "y", "theta", "kappa", "confidence"))]
-        if fields[5] not in ("0", "1"):
-            raise EdgeSetFormatError(f"line {lineno}: reliable flag must be 0 or 1")
-        rows.append(row + [fields[5] == "1"])
+    table = _parse_table(body)
     try:
-        return EdgeSet.from_arrays(width, height, *np.array(rows).reshape(count, 6).T)
+        return EdgeSet.from_arrays(width, height, *table.T)
     except EdgeSetFormatError as exc:
         # Edge k sits on line k + 3.
         raise EdgeSetFormatError(f"line {exc.row + 3}: {exc}", exc.row) from None

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import edges as edges_mod
 from .basis import HypothesisConfig
-from .edges import EdgeSet
+from .edges import EdgeSet, require_int
 from .verify import MatchResult, VerifyConfig, match
 
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
@@ -94,9 +94,10 @@ def load_gallery(root: str | Path) -> Gallery:
                 id=str(item["id"]),
                 file=str(item["file"]),
                 source=str(item.get("source", "")),
-                edge_count=int(item["edge_count"]),
+                edge_count=item["edge_count"],
                 enrolled_at=str(item["enrolled_at"]),
             )
+            require_int("edge_count", entry.edge_count, 0)
         except (KeyError, TypeError, ValueError) as exc:
             raise GalleryError(f"malformed manifest entry {item!r}: {exc}") from None
         expected = _model_file(entry.id)

@@ -17,13 +17,15 @@ inherits their jitter, while the refit averages it over every coincidence.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .basis import (
+    CompatibleCouples,
     HypothesisConfig,
     Transform,
-    find_compatible_pairs,
+    compatible_pairs,
     iter_basis_pairs,
 )
 from .edges import EdgeSet, in_frame, query_near_batch, require_int, require_positive
@@ -190,45 +192,58 @@ def screen_branches(
     ref: EdgeSet,
     probe: EdgeSet,
     transforms: list[Transform],
-    initial_confidence: float,
+    initial_confidence,
     cfg: VerifyConfig | None = None,
 ) -> list[tuple[float, bool]]:
-    """Cheap sequential screen of several hypotheses that share one initial
-    confidence, one (confidence, pruned) pair per transform.
+    """Cheap sequential screen of several hypotheses, one (confidence,
+    pruned) pair per transform.
 
-    For each transform, visits the probe_count most confident reference
-    edges (ties by lower index), looks for a probe edge within eps_pos / s
-    of the inverse-mapped position with a compatible orientation, and
-    multiplies the confidence by miss_factor on each failure.  Hits leave it
-    unchanged.  A branch is pruned, and its walk stops, once the confidence
-    falls below prune_threshold.  One batched query serves every transform.
+    initial_confidence is one value for every transform or one value per
+    transform.  For each transform, visits the probe_count most confident
+    reference edges (ties by lower index), looks for a probe edge within
+    eps_pos / s of the inverse-mapped position with a compatible
+    orientation, and multiplies the confidence by miss_factor on each
+    failure.  Hits leave it unchanged.  A branch is pruned, and its walk
+    stops, once the confidence falls below prune_threshold; a branch that
+    starts below it is pruned before any probe.  One batched query serves
+    every transform.
     """
     if cfg is None:
         cfg = VerifyConfig()
-    if initial_confidence < cfg.prune_threshold:
-        return [(initial_confidence, True)] * len(transforms)
-    if not transforms:
-        return []
+    s, tx, ty = (np.array([getattr(t, f) for t in transforms], dtype=np.float64)
+                 for f in ("s", "tx", "ty"))
+    initial = np.broadcast_to(np.asarray(initial_confidence, dtype=np.float64), s.shape)
+    return _screen(ref, probe, s, tx, ty, initial, cfg)
+
+
+def _screen(ref, probe, s, tx, ty, initial, cfg) -> list[tuple[float, bool]]:
+    """:func:`screen_branches` over the columns of the transforms and their
+    initial confidences."""
+    out = [(c, True) for c in initial.tolist()]
+    # NaN is not below the threshold, so a NaN confidence is walked.
+    live = np.nonzero(~(initial < cfg.prune_threshold))[0]
+    if live.size == 0:
+        return out
     arr_a = ref.arrays()
     order = ref.ranked[: cfg.probe_count]
-    s, tx, ty = (np.array(v)[:, None] for v in zip(*((t.s, t.tx, t.ty) for t in transforms)))
-    # Row b holds the reference edges inverted through transform b, with the
-    # bits of Transform.invert.
+    s, tx, ty = (v[live, None] for v in (s, tx, ty))
+    # Row b holds the reference edges inverted through live transform b,
+    # with the bits of Transform.invert.
     px = (arr_a.x[order] - tx) / s
     py = (arr_a.y[order] - ty) / s
     radius = np.repeat(cfg.eps_pos / s, order.size)
-    theta = np.tile(arr_a.theta[order], len(transforms))
+    theta = np.tile(arr_a.theta[order], live.size)
     q, _ = query_near_batch(probe, px, py, radius, theta, cfg.eps_theta)
-    out = []
-    for row in np.bincount(q, minlength=px.size).reshape(px.shape).tolist():
-        confidence, pruned = initial_confidence, False
-        for hits in row:
-            if hits == 0:
+    hits = np.bincount(q, minlength=px.size).reshape(px.shape)
+    for b, row in zip(live.tolist(), hits.tolist()):
+        confidence, pruned = out[b][0], False
+        for h in row:
+            if h == 0:
                 confidence *= cfg.miss_factor
                 if confidence < cfg.prune_threshold:
                     pruned = True
                     break
-        out.append((confidence, pruned))
+        out[b] = (confidence, pruned)
     return out
 
 
@@ -280,6 +295,45 @@ def _refit_transform(
     return Transform(s=s, tx=float(qxm - s * pxm), ty=float(qym - s * pym))
 
 
+def _best_branch(ref, probe, hyp_cfg, ver_cfg):
+    """The branch walk of :func:`match`: (branches tried, best branch or
+    None)."""
+    branches = 0
+    best = None
+    if len(probe) < 2:  # no probe couple
+        return branches, best
+    bases = iter_basis_pairs(ref, hyp_cfg)
+    group = 1
+    while taken := list(islice(bases, group)):
+        c = compatible_pairs(probe, taken, ref, hyp_cfg)
+        c = CompatibleCouples(*(v[: ver_cfg.max_branches - branches] for v in c))
+        quality = np.array([bp.quality for bp in taken])
+        screens = _screen(ref, probe, c.s, c.tx, c.ty, quality[c.basis], ver_cfg)
+        for k, n1, n2, s, tx, ty, (confidence, pruned) in zip(*(v.tolist() for v in c),
+                                                              screens):
+            branches += 1
+            if pruned:
+                continue
+            t_raw = Transform(s=s, tx=tx, ty=ty)
+            pairs, score = count_coincidences(ref, probe, t_raw, ver_cfg)
+            t_best, pairs_best, score_best = t_raw, pairs, score
+            t_ref = _refit_transform(ref, probe, pairs, hyp_cfg.s_min, hyp_cfg.s_max)
+            if t_ref is not None:
+                pairs_r, score_r = count_coincidences(ref, probe, t_ref, ver_cfg)
+                if score_r >= score:
+                    t_best, pairs_best, score_best = t_ref, pairs_r, score_r
+            if best is None or score_best > best[0]:
+                best = (score_best, t_best, pairs_best, confidence, taken[k], (n1, n2))
+            if score_best >= ver_cfg.accept_score:
+                return branches, best
+        if branches == ver_cfg.max_branches:
+            break
+        # Each basis gives at most max_pairs_n couples, so every basis of
+        # the next group is read within the budget.
+        group = -(-(ver_cfg.max_branches - branches) // hyp_cfg.max_pairs_n)
+    return branches, best
+
+
 def match(
     ref: EdgeSet,
     probe: EdgeSet,
@@ -290,45 +344,21 @@ def match(
 
     Walks reference basis couples in quality order; each compatible probe
     couple opens a branch with initial confidence equal to the basis quality.
-    The couples of one basis are screened together by screen_branches;
-    each surviving branch, in couple order, is counted by
-    count_coincidences, refined once by least squares (keeping whichever of
-    the raw and refined transforms counts better), and the search stops at
-    max_branches or as soon as a branch reaches accept_score.  The best
-    surviving branch is reported; with no surviving branch the result is an
-    undecided reject with no transform.  Deterministic for fixed inputs.
+    Bases are read in groups, the first of one basis and each later one of
+    as many as the branches left could need, and the couples of one group
+    are found by compatible_pairs and screened together.  Each surviving
+    branch, in couple order, is counted by count_coincidences, refined once
+    by least squares (keeping whichever of the raw and refined transforms
+    counts better), and the search stops at max_branches or as soon as a
+    branch reaches accept_score.  The best surviving branch is reported;
+    with no surviving branch the result is an undecided reject with no
+    transform.  Deterministic for fixed inputs.
     """
     if hyp_cfg is None:
         hyp_cfg = HypothesisConfig()
     if ver_cfg is None:
         ver_cfg = VerifyConfig()
-    branches = 0
-    best = None
-    for bp in iter_basis_pairs(ref, hyp_cfg):
-        couples = find_compatible_pairs(probe, bp, ref, hyp_cfg)
-        couples = couples[: ver_cfg.max_branches - branches]
-        screens = screen_branches(ref, probe, [t for _, t in couples], bp.quality, ver_cfg)
-        for (n_pair, t_raw), (confidence, pruned) in zip(couples, screens):
-            branches += 1
-            if pruned:
-                continue
-            pairs, score = count_coincidences(ref, probe, t_raw, ver_cfg)
-            t_best, pairs_best, score_best = t_raw, pairs, score
-            t_ref = _refit_transform(ref, probe, pairs, hyp_cfg.s_min, hyp_cfg.s_max)
-            if t_ref is not None:
-                pairs_r, score_r = count_coincidences(ref, probe, t_ref, ver_cfg)
-                if score_r >= score:
-                    t_best, pairs_best, score_best = t_ref, pairs_r, score_r
-            if best is None or score_best > best[0]:
-                best = (score_best, t_best, pairs_best, confidence, bp, n_pair)
-            if score_best >= ver_cfg.accept_score:
-                break
-        # best holds the top score, so it reaches accept_score exactly when
-        # a branch broke the walk above.
-        if branches == ver_cfg.max_branches or (
-            best is not None and best[0] >= ver_cfg.accept_score
-        ):
-            break
+    branches, best = _best_branch(ref, probe, hyp_cfg, ver_cfg)
     if best is None:
         return MatchResult(decided=False, score=0.0, transform=None,
                            counts=(0, len(ref), 0), branches_tried=branches)

@@ -13,6 +13,7 @@ from edgematch import (
     EdgeSet,
     HypothesisConfig,
     Transform,
+    compatible_pairs,
     enumerate_basis_pairs,
     find_compatible_pairs,
     iter_basis_pairs,
@@ -390,3 +391,62 @@ def test_find_compatible_on_tiny_probe_sets():
     assert find_compatible_pairs(empty, basis, ref) == []
     single = EdgeSet(160, 160, (Edge(5.0, 5.0, 1.0),))
     assert find_compatible_pairs(single, basis, ref) == []
+
+
+# The ends of [0, 2*pi) and a few shared positions, so that orientation
+# windows wrap and probe edges coincide.
+wrapping_angles = st.sampled_from([0.0, math.nextafter(TWO_PI, 0.0)]) | angles
+coords = st.sampled_from([10.0, 50.0, 120.0]) | st.floats(0.0, 199.99)
+
+
+@given(st.data(), st.sampled_from([1, 7, basis_mod._CHUNK_CELLS]))
+def test_compatible_pairs_equals_the_per_basis_oracle(data, chunk):
+    tolerances = st.sampled_from([0.05, 0.3, math.pi, 4.0])
+    cfg = HypothesisConfig(eps_theta=data.draw(tolerances), eps_phi=data.draw(tolerances),
+                           max_pairs_n=data.draw(st.sampled_from([1, 3, 10])))
+    ref = EdgeSet(200, 200, [Edge(data.draw(coords), data.draw(coords),
+                                  data.draw(wrapping_angles)) for _ in range(4)])
+    bases = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        i, j = data.draw(st.permutations(range(4)))[:2]
+        bases.append(BasisPair(i=i, j=j, phi=data.draw(wrapping_angles),
+                               dist=data.draw(st.floats(1.0, 300.0)), quality=1.0))
+
+    def near(angle, eps, offsets):
+        """An angle offsets[k] outside the window of half-width eps around
+        angle."""
+        step = eps + data.draw(st.sampled_from(offsets))
+        a = (angle + data.draw(st.sampled_from([-step, step]))) % TWO_PI
+        return 0.0 if a >= TWO_PI else a
+
+    # Probe edges drawn freely or placed on the edges of the windows of the
+    # orientation, direction and scale tests.
+    rows = []
+    for _ in range(data.draw(st.sampled_from([0, 1, 2]) | st.integers(3, 12))):
+        theta = data.draw(wrapping_angles)
+        if data.draw(st.booleans()):
+            theta = near(ref.arrays().theta[data.draw(st.integers(0, 3))], cfg.eps_theta,
+                         [-1e-9, 0.0, 1e-9])
+        x, y = data.draw(coords), data.draw(coords)
+        if rows and bases and data.draw(st.booleans()):
+            b = data.draw(st.sampled_from(bases))
+            d = b.dist / data.draw(st.sampled_from([cfg.s_min, 1.0, cfg.s_max]))
+            # The oracle's math.atan2 and numpy's arctan2 can differ in the
+            # last bit, so a direction is never placed on the window edge.
+            phi = near(b.phi, cfg.eps_phi, [-1e-9, 1e-9])
+            x, y = rows[-1][0] + d * math.cos(phi), rows[-1][1] + d * math.sin(phi)
+            if not (0.0 <= x < 200.0 and 0.0 <= y < 200.0):
+                x, y = data.draw(coords), data.draw(coords)
+        rows.append((x, y, theta))
+    probe = EdgeSet(200, 200, [Edge(x, y, t) for x, y, t in rows])
+    # Small chunks cut the cells of one basis, and of several, apart.
+    with patch.object(basis_mod, "_CHUNK_CELLS", chunk):
+        got = compatible_pairs(probe, bases, ref, cfg)
+    expected = [
+        (k, n1, n2, s, tx, ty)
+        for k, b in enumerate(bases)
+        for _, n1, n2, s, tx, ty in oracle_compatible_pairs(
+            probe, b.phi, b.dist, ref.edges[b.i], ref.edges[b.j], cfg)
+    ]
+    assert list(zip(*(v.tolist() for v in got))) == expected
+    assert all(v.dtype == np.int64 for v in got[:3])

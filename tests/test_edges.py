@@ -79,6 +79,8 @@ def test_parse_preserves_frame_and_count():
         (b"EDGESET 1\n4 4 1\n1 1 0 0 1 2\n", "reliable"),
         (b"EDGESET 1\n4 4 2\n1 1 0 0 1 1\n1 1 7.0 0 1 1\n", "line 4: edge 1: theta"),
         (b"EDGESET 1\n4 4 1\n1 1 0 nan 1 1\n", "kappa"),
+        (b"EDGESET 1\n4 4 2\n1 1 0 0 1 1\n1 zz 0 0 1 1\n", "line 4: non-numeric y 'zz'"),
+        (b"EDGESET 1\n4 4 2\n1 zz 0 0 1 1\n1 1 0 0 1\n", "line 3: non-numeric y 'zz'"),
     ],
 )
 def test_parse_rejects_malformed(data, fragment):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,15 @@ def test_malformed_entry_raises(tmp_path):
         json.dumps([{"id": "x", "file": "models/x.edgeset"}]), encoding="utf-8"
     )
     with pytest.raises(GalleryError, match="malformed manifest entry"):
+        load_gallery(tmp_path)
+
+
+@pytest.mark.parametrize("edge_count", [300.9, 20.0, True, -1, "20", None])
+def test_manifest_edge_count_must_be_a_json_integer(tmp_path, edge_count):
+    g = enroll(load_gallery(tmp_path), "m", random_edge_set(20, 64, 64, seed=0), timestamp=TS)
+    entry = dict(asdict(g.manifest[0]), edge_count=edge_count)
+    (tmp_path / "manifest.json").write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(GalleryError, match="malformed manifest entry.*edge_count"):
         load_gallery(tmp_path)
 
 

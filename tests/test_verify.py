@@ -275,10 +275,14 @@ def test_screen_branches_equals_one_screen_per_transform(data, n_branches):
     cfg = VerifyConfig(probe_count=data.draw(st.sampled_from([1, 5, 20, 60])),
                        miss_factor=data.draw(st.sampled_from([0.5, 0.8, 0.95])),
                        prune_threshold=data.draw(st.sampled_from([0.0, 0.3, 0.6])))
-    initial = data.draw(st.sampled_from([0.1, 0.29, 0.3, 0.5, 1.0]))
+    # One initial confidence for every transform, or one per transform.
+    initials = st.sampled_from([0.1, 0.29, 0.3, 0.5, 1.0])
+    initial = data.draw(initials | st.lists(initials, min_size=n_branches,
+                                            max_size=n_branches))
+    each = initial if isinstance(initial, list) else [initial] * n_branches
     got = screen_branches(ref, probe, transforms, initial, cfg)
-    assert got == [screen_oracle(ref, probe, t, initial, cfg) for t in transforms]
-    assert [sequential_verify(ref, probe, t, initial, cfg) for t in transforms] == got
+    assert got == [screen_oracle(ref, probe, t, c, cfg) for t, c in zip(transforms, each)]
+    assert [sequential_verify(ref, probe, t, c, cfg) for t, c in zip(transforms, each)] == got
 
 
 def test_screen_branches_keeps_each_branch_apart():
@@ -505,17 +509,47 @@ def test_match_budget_digests_pinned():
     assert got == PINNED_BUDGET_SHA256
 
 
+def count_bases_read(monkeypatch):
+    """Patch match's basis generator; the list it returns grows by one per
+    basis that match pulls from it."""
+    pulled = []
+    real = verify_mod.iter_basis_pairs
+
+    def counting(*args):
+        for bp in real(*args):
+            pulled.append(bp)
+            yield bp
+
+    monkeypatch.setattr(verify_mod, "iter_basis_pairs", counting)
+    return pulled
+
+
 def test_match_reads_no_basis_past_the_budget(monkeypatch):
     # The first three bases of case 0 give 10 compatible couples each.
     ref, probe, hyp, ver = next(identity_cases())
-    calls = []
-    real = verify_mod.find_compatible_pairs
-    monkeypatch.setattr(verify_mod, "find_compatible_pairs",
-                        lambda *a: calls.append(1) or real(*a))
+    pulled = count_bases_read(monkeypatch)
     for budget, bases in ((1, 1), (10, 1), (11, 2), (20, 2), (23, 3)):
-        calls.clear()
+        pulled.clear()
         res = match(ref, probe, hyp, replace(ver, max_branches=budget, accept_score=1.0))
-        assert (res.branches_tried, len(calls)) == (budget, bases)
+        assert (res.branches_tried, len(pulled)) == (budget, bases)
+
+
+def test_match_accepting_on_its_first_basis_reads_one_basis(monkeypatch):
+    ref, probe, hyp, ver = next(identity_cases())
+    pulled = count_bases_read(monkeypatch)
+    res = match(ref, probe, hyp, ver)
+    assert res.decided and res.basis[0] == (pulled[0].i, pulled[0].j)
+    assert len(pulled) == 1
+
+
+def test_match_with_fewer_than_two_probe_edges_reads_no_basis(monkeypatch):
+    ref = random_edge_set(50, 64, 64, seed=1)
+    pulled = count_bases_read(monkeypatch)
+    for n in (0, 1):
+        res = match(ref, random_edge_set(n, 64, 64, seed=2))
+        assert res == MatchResult(decided=False, score=0.0, transform=None,
+                                  counts=(0, 50, 0), branches_tried=0)
+    assert pulled == []
 
 
 def test_match_json_digests_pinned():
