@@ -113,14 +113,12 @@ def _fold_half(d):
     return np.minimum(d, _PI - d)
 
 
-# Couples the first band of the basis walk scores, and the cap that each
-# later band doubles up to: match usually reads one basis, which synthetic
-# sets reach within a hundred couples, while the cap bounds the memory of a
-# band where many bounds tie.
+# Couples in the first band of the basis walk, and the cap each later band
+# doubles up to.  The first band holds the one basis of 48 of the 80 register
+# pool matches of seeds 41-42, the second the rest (230 couples a match; 256
+# for a first band of 256, 282 for 64).  The cap bounds a band's memory.
 _BAND_FIRST = 1 << 7
 _BAND_PAIRS = 1 << 13
-# Halvings of the bound interval spent sizing one band.
-_BAND_SEARCH = 10
 # Cells of the cand1 x cand2 blocks that compatible_pairs holds at once.
 _CHUNK_CELLS = 1 << 18
 # Widening, in radians, of the orientation windows and the direction cone
@@ -129,59 +127,16 @@ _CHUNK_CELLS = 1 << 18
 _ANGLE_PAD = 1e-6
 
 
-def _band_ends(cs, hi, front, lo, size):
-    """Where each row of the bound matrix cs[r] * cs[c] (c > r) ends the
-    next band, given that row r is scored up to rank hi[r] and front[r] is
-    its first unscored bound.
-
-    The band takes the couples whose bound reaches a threshold t in
-    [lo, max(front)], bisected until they number size to 2 * size.  When a
-    tie in the bound makes that count jump past the range, the band is cut
-    to 2 * size couples in rank order.  No band is empty, as the rows of
-    the largest front always reach t, so the walk always advances.
-    """
-    # The d + 1 most confident edges form d (d + 1) / 2 couples, each with
-    # a bound of at least cs[d]^2, and at most `scored` of them are scored:
-    # a t below cs[d]^2 takes more than 2 * size couples, so lo can rise to
-    # it, which keeps the search among the ranks and values that matter.
-    scored = int((hi - np.arange(1, cs.size)).sum())
-    d = (math.isqrt(8 * (scored + 2 * size) + 1) + 1) // 2
-    if d < cs.size:
-        lo = max(lo, cs[d] * cs[d])
-    live = np.nonzero(front >= lo)[0]  # only these rows reach lo
-    c_live, hi_live, front_live = cs[live], hi[live], front[live]
-
-    def ends(t):
-        # Ranks c with cs[c] >= t / cs[r], an estimate of cs[r] * cs[c] >= t.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = np.searchsorted(-cs, -t / c_live, side="right")
-        return np.maximum(e, hi_live + (front_live >= t))
-
-    up = front_live.max()
-    end = ends(lo)
-    if (end - hi_live).sum() > 2 * size:
-        end = ends(up)
-        if (end - hi_live).sum() < size:
-            for _ in range(_BAND_SEARCH):
-                t = 0.5 * (lo + up)
-                end = ends(t)
-                count = (end - hi_live).sum()
-                if count > 2 * size:
-                    lo = t
-                elif count < size:
-                    up = t
-                else:
-                    break
-            else:
-                end = ends(lo)
-    taken = np.cumsum(end - hi_live)
-    if taken[-1] > 2 * size:
-        cut = int(np.searchsorted(taken, 2 * size))
-        end[cut] -= taken[cut] - 2 * size
-        end[cut + 1:] = hi_live[cut + 1:]
-    out = hi.copy()
-    out[live] = end
-    return out
+def _couples(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks (r, c), r < c, of the couples numbered lo .. hi - 1, couple
+    (r, c) having number t = c (c - 1) / 2 + r.  Then (2c - 1)^2 <= 8t + 1
+    < (2c + 1)^2, so c = (isqrt(8t + 1) + 1) // 2 in exact integers."""
+    c_lo, c_hi = ((math.isqrt(8 * t + 1) + 1) // 2 for t in (lo, hi - 1))
+    cols = np.arange(c_lo, c_hi + 1)
+    first = cols * (cols - 1) // 2
+    t = np.arange(lo, hi)
+    k = np.searchsorted(first, t, side="right") - 1
+    return t - first[k], cols[k]
 
 
 def _score(arr, i, j, min_dist, min_sep, half_diag):
@@ -213,14 +168,15 @@ def iter_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> Iterat
     Yields in descending quality, ties broken by lower i then lower j, and
     stops after max_basis_a couples.  Deterministic.
 
-    A couple's quality is at most its bound conf_i * conf_j.  Couples are
-    scored in bands of falling bound, the first of about _BAND_FIRST
-    couples and each next one twice the last, up to _BAND_PAIRS.  After a
-    band, every scored couple whose quality is strictly above the largest
-    bound left unscored is yielded, since no unscored couple can reach or
-    tie it.  This is the threshold algorithm of Fagin, Lotem & Naor (PODS
-    2001): a caller that reads only the first few couples scores only the
-    couples whose bound reaches them, and at most one band more.
+    A couple's quality is at most its bound conf_i * conf_j.  With the
+    edges ranked by descending confidence cs, couples (r, c), r < c, are
+    scored in the order of c (c - 1) / 2 + r, in bands of _BAND_FIRST
+    couples doubling up to _BAND_PAIRS.  After a band, every scored couple
+    whose quality is strictly above max(cs[r] * cs[c], cs[0] * cs[c + 1]),
+    for (r, c) the next unscored couple, is yielded: no unscored couple can
+    reach or tie it.  This is the threshold algorithm of Fagin, Lotem & Naor
+    (PODS 2001): a caller that reads only the first few couples scores only
+    a prefix of the ranking, and at most one band more.
     """
     if cfg is None:
         cfg = HypothesisConfig()
@@ -231,30 +187,15 @@ def iter_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> Iterat
         return
     diag = es.frame_diagonal
     min_dist = cfg.resolved_min_dist(diag)
-    cs = arr.confidence[perm]  # descending
-    rows = np.arange(n - 1)
-    hi = rows + 1  # row r of the bound matrix is scored over ranks r + 1 .. hi[r] - 1
+    # Descending, then a 0 for cs[c + 1] of the last column: confidences are >= 0.
+    cs = np.append(arr.confidence[perm], 0.0)
+    done, total = 0, n * (n - 1) // 2
     need = cfg.max_basis_a
     pending = np.empty((0, 5))  # scored rows (quality, i, j, phi, dist) in yield order
-    size = min(_BAND_FIRST, _BAND_PAIRS)
-    while True:
-        # As cs descends, the first unscored couple of a row has its largest bound.
-        front = np.where(hi < n, cs[:-1] * cs[np.minimum(hi, n - 1)], -np.inf)
-        top = front.max()
-        out = int(np.searchsorted(-pending[:, 0], -top))  # quality > top
-        for q, i, j, phi, d in pending[:out].tolist():
-            yield BasisPair(i=int(i), j=int(j), phi=phi, dist=d, quality=q)
-        need -= out
-        if need == 0 or top == -np.inf:
-            return
-        pending = pending[out:]
-        # A couple below the need-th best quality so far is never yielded.
-        floor = pending[need - 1, 0] if len(pending) >= need else 0.0
-        end = _band_ends(cs, hi, front, floor, size)
-        lengths = end - hi
-        r = np.repeat(rows, lengths)
-        c = np.arange(r.size) - np.repeat(np.cumsum(lengths) - lengths - hi, lengths)
-        hi = end
+    band = min(_BAND_FIRST, _BAND_PAIRS)
+    while need > 0 and done < total:
+        r, c = _couples(done, min(done + band, total))
+        done += r.size
         pending = np.vstack((pending, _score(arr, np.minimum(perm[r], perm[c]),
                                              np.maximum(perm[r], perm[c]), min_dist,
                                              cfg.min_sep_angle, diag / 2.0)))
@@ -262,7 +203,14 @@ def iter_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> Iterat
             q = pending[:, 0]
             pending = pending[q >= np.partition(q, len(q) - need)[len(q) - need]]
         pending = pending[np.lexsort((pending[:, 2], pending[:, 1], -pending[:, 0]))[:need]]
-        size = min(2 * size, _BAND_PAIRS)
+        (r,), (c,) = _couples(done, done + 1)  # the next unscored couple, if any
+        top = max(cs[r] * cs[c], cs[0] * cs[c + 1]) if done < total else -np.inf
+        out = int(np.searchsorted(-pending[:, 0], -top))  # quality > top
+        for q, i, j, phi, d in pending[:out].tolist():
+            yield BasisPair(i=int(i), j=int(j), phi=phi, dist=d, quality=q)
+        need -= out
+        pending = pending[out:]
+        band = min(2 * band, _BAND_PAIRS)
 
 
 def enumerate_basis_pairs(es: EdgeSet, cfg: HypothesisConfig | None = None) -> list[BasisPair]:

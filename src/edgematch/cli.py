@@ -27,6 +27,8 @@ _SECTIONS = ("extract", "hypothesis", "verify")
 
 
 def _apply_section(cls, overrides: dict, section: str):
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"invalid config section {section!r}: not a JSON object")
     valid = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(overrides) - valid)
     if unknown:

@@ -262,23 +262,76 @@ def test_iter_basis_pairs_with_many_equal_confidences(band):
         assert_matches_oracle(list(islice(bases, 7)), expected[:7])
         # The generator stops after max_basis_a couples.
         assert_matches_oracle(list(bases), expected[7:])
-    assert 0 < max(seen) <= 2 * band
+    assert 0 < max(seen) <= band
 
 
 def test_iter_basis_pairs_ranks_zero_confidence_couples_last():
     # Couples of a zero-confidence edge have bound and quality 0; the walk
-    # must reach them without dividing by a zero confidence.
-    rng = np.random.default_rng(9)
-    n = 60
-    conf = np.where(np.arange(n) % 3 == 0, 0.0, rng.uniform(0.1, 1.0, n))
-    es = EdgeSet.from_arrays(200, 200, rng.uniform(0.0, 200.0, n),
-                             rng.uniform(0.0, 200.0, n), rng.uniform(0.0, TWO_PI, n),
-                             np.zeros(n), conf, np.ones(n, dtype=bool))
-    cfg = HypothesisConfig(max_basis_a=10_000)
-    expected = oracle_basis_pairs(es, cfg)
-    assert expected[-1][0] == 0.0
-    with patch.object(basis_mod, "_BAND_PAIRS", 16):
-        assert_matches_oracle(list(iter_basis_pairs(es, cfg)), expected)
+    # must reach them without dividing by a zero confidence.  At n = 300 a
+    # full walk in bands of 7 crosses many partial columns.
+    for n, band in ((60, 1), (60, 16), (300, 7), (300, basis_mod._BAND_PAIRS)):
+        rng = np.random.default_rng(9)
+        conf = np.where(np.arange(n) % 3 == 0, 0.0, rng.uniform(0.1, 1.0, n))
+        es = EdgeSet.from_arrays(200, 200, rng.uniform(0.0, 200.0, n),
+                                 rng.uniform(0.0, 200.0, n), rng.uniform(0.0, TWO_PI, n),
+                                 np.zeros(n), conf, np.ones(n, dtype=bool))
+        every = oracle_basis_pairs(es, HypothesisConfig(max_basis_a=n * n))
+        # At n = 60 every couple, ties among the zero-quality ones included.
+        # At n = 300 five zero-quality couples past the positive ones, which
+        # only the last band of a full walk yields, keep the test quick.
+        cap = n * n if n == 60 else sum(r[0] > 0.0 for r in every) + 5
+        cfg = HypothesisConfig(max_basis_a=cap)
+        expected = every[:cap]
+        assert expected[-1][0] == 0.0
+        with patch.object(basis_mod, "_BAND_PAIRS", band):
+            assert_matches_oracle(list(iter_basis_pairs(es, cfg)), expected)
+
+
+def unscored_bounds(es):
+    """Brute-force bound of the couples left unscored once the walk has
+    scored the couples numbered below t, for every t."""
+    arr = es.arrays()
+    cs = sorted(arr.confidence[arr.reliable], reverse=True)
+    n = len(cs)
+    return [max(cs[r] * cs[c], cs[0] * cs[c + 1] if c + 1 < n else 0.0)
+            for c in range(1, n) for r in range(c)]
+
+
+@settings(max_examples=12)
+@given(tie_heavy_sets)
+def test_iter_basis_pairs_scores_only_what_the_bases_read_need(es):
+    # The k-th basis can be yielded once the unscored bound falls below its
+    # quality, at couple number T_k: the walk scores at most the band of 16
+    # that reaches T_k.
+    bounds = unscored_bounds(es)
+    best = enumerate_basis_pairs(es)
+    scored, score = [], basis_mod._score
+
+    def spy(arr, i, *rest):
+        scored.append(i.size)
+        return score(arr, i, *rest)
+
+    for k in (1, 3, 40):
+        q = best[k - 1].quality
+        t_k = next((t for t, b in enumerate(bounds) if b < q), len(bounds))
+        scored.clear()
+        with patch.object(basis_mod, "_BAND_PAIRS", 16), patch.object(basis_mod, "_score", spy):
+            assert list(islice(iter_basis_pairs(es), k)) == best[:k]
+        assert t_k <= sum(scored) <= t_k + 16, k
+
+
+def test_couples_are_numbered_column_by_column():
+    ranks = [(r, c) for c in range(1, 60) for r in range(c)]
+    for lo, hi in ((0, 1), (0, len(ranks)), (5, 6), (6, 7), (40, 97), (1000, 1711)):
+        r, c = basis_mod._couples(lo, hi)
+        assert list(zip(r.tolist(), c.tolist())) == ranks[lo:hi]
+    # Exact on either side of a column's first number, up to where
+    # c (c - 1) nears the int64 range: a float square root of 8t + 1 puts
+    # t = c (c - 1) / 2 - 1 in column c from c = 2^27 + 1 on.
+    for c in [2, 3, 4, 1000] + [(1 << e) + d for e in range(11, 32) for d in (-1, 0, 1)]:
+        first = c * (c - 1) // 2
+        r, cols = basis_mod._couples(first - 1, first + 1)
+        assert r.tolist() == [c - 2, 0] and cols.tolist() == [c - 1, c], c
 
 
 def test_enumerate_skips_unreliable_edges():

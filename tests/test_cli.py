@@ -305,7 +305,11 @@ def test_config_rejects_invalid_values(self_pair, tmp_path, capsys):
                 {"verify": {"probe_count": 2.5}},
                 {"verify": {"max_branches": 2.5}},
                 {"extract": {"border_margin": 2.5}},
-                {"verify": {"max_branches": True}}):
+                {"verify": {"max_branches": True}},
+                # A section that is not a JSON object once ended in a
+                # TypeError traceback or was read as a list of keys.
+                {"hypothesis": None}, {"verify": 5}, {"extract": "abc"},
+                {"hypothesis": []}):
         cfg.write_text(json.dumps(doc))
         rc = main(["match", "--ref", ref, "--probe", probe, "--config", str(cfg)])
         assert rc == 2, doc
