@@ -112,12 +112,14 @@ class MatchResult:
         return cls(
             decided=_field(d, "decided", (bool,)),
             score=float(_field(d, "score", _NUMBER)),
-            transform=Transform(*(_field(t, k, _NUMBER) for k in ("s", "tx", "ty"))) if t else None,
+            transform=(Transform(*(_field(t, k, _NUMBER) for k in ("s", "tx", "ty")))
+                       if t is not None else None),
             matched_pairs=[_indices(p, 2, "matched_pairs") for p in pairs],
             counts=_indices(_field(d, "counts", (list,)), 3, "counts"),
             branches_tried=_field(d, "branches_tried", (int,)),
             confidence=float(_field(d, "confidence", _NUMBER)),
-            basis=tuple(_indices(b.get(k), 2, "basis") for k in ("ref", "probe")) if b else None,
+            basis=(tuple(_indices(b.get(k), 2, "basis") for k in ("ref", "probe"))
+                   if b is not None else None),
         )
 
 
@@ -191,60 +193,50 @@ def count_coincidences(
 def screen_branches(
     ref: EdgeSet,
     probe: EdgeSet,
-    transforms: list[Transform],
+    s,
+    tx,
+    ty,
     initial_confidence,
     cfg: VerifyConfig | None = None,
-) -> list[tuple[float, bool]]:
-    """Cheap sequential screen of several hypotheses, one (confidence,
-    pruned) pair per transform.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cheap sequential screen of the hypotheses s * p + (tx, ty): one
+    float64 confidence and one bool pruned flag per hypothesis.
 
-    initial_confidence is one value for every transform or one value per
-    transform.  For each transform, visits the probe_count most confident
+    initial_confidence is one value for every hypothesis or one value per
+    hypothesis.  Each hypothesis visits the probe_count most confident
     reference edges (ties by lower index), looks for a probe edge within
     eps_pos / s of the inverse-mapped position with a compatible
     orientation, and multiplies the confidence by miss_factor on each
-    failure.  Hits leave it unchanged.  A branch is pruned, and its walk
-    stops, once the confidence falls below prune_threshold; a branch that
-    starts below it is pruned before any probe.  One batched query serves
-    every transform.
+    failure.  Hits leave it unchanged.  A branch is pruned at the first
+    probe that leaves it below prune_threshold, and reports the confidence
+    of that probe; a branch that starts below it is pruned before any
+    probe.  One batched query serves every hypothesis.
     """
     if cfg is None:
         cfg = VerifyConfig()
-    s, tx, ty = (np.array([getattr(t, f) for t in transforms], dtype=np.float64)
-                 for f in ("s", "tx", "ty"))
-    initial = np.broadcast_to(np.asarray(initial_confidence, dtype=np.float64), s.shape)
-    return _screen(ref, probe, s, tx, ty, initial, cfg)
-
-
-def _screen(ref, probe, s, tx, ty, initial, cfg) -> list[tuple[float, bool]]:
-    """:func:`screen_branches` over the columns of the transforms and their
-    initial confidences."""
-    out = [(c, True) for c in initial.tolist()]
-    # NaN is not below the threshold, so a NaN confidence is walked.
-    live = np.nonzero(~(initial < cfg.prune_threshold))[0]
-    if live.size == 0:
-        return out
+    s, tx, ty = (np.asarray(v, dtype=np.float64).reshape(-1, 1) for v in (s, tx, ty))
     arr_a = ref.arrays()
     order = ref.ranked[: cfg.probe_count]
-    s, tx, ty = (v[live, None] for v in (s, tx, ty))
-    # Row b holds the reference edges inverted through live transform b,
-    # with the bits of Transform.invert.
+    # Row b holds the reference edges inverted through hypothesis b, with
+    # the bits of Transform.invert.
     px = (arr_a.x[order] - tx) / s
     py = (arr_a.y[order] - ty) / s
     radius = np.repeat(cfg.eps_pos / s, order.size)
-    theta = np.tile(arr_a.theta[order], live.size)
+    theta = np.tile(arr_a.theta[order], len(s))
     q, _ = query_near_batch(probe, px, py, radius, theta, cfg.eps_theta)
     hits = np.bincount(q, minlength=px.size).reshape(px.shape)
-    for b, row in zip(live.tolist(), hits.tolist()):
-        confidence, pruned = out[b][0], False
-        for h in row:
-            if h == 0:
-                confidence *= cfg.miss_factor
-                if confidence < cfg.prune_threshold:
-                    pruned = True
-                    break
-        out[b] = (confidence, pruned)
-    return out
+    # Column k of the walk is the confidence after k probes: the product,
+    # left to right, of the initial value and a factor per probe, 1.0 on a
+    # hit, so every step has the bits of a scalar walk.
+    steps = np.empty((len(s), order.size + 1))
+    steps[:, 0] = initial_confidence
+    steps[:, 1:] = np.where(hits == 0, cfg.miss_factor, 1.0)
+    walk = np.cumprod(steps, axis=1)
+    # NaN is not below the threshold, so a NaN confidence is never pruned.
+    below = walk < cfg.prune_threshold
+    pruned = below.any(axis=1)
+    stop = np.where(pruned, below.argmax(axis=1), order.size)
+    return walk[np.arange(len(s)), stop], pruned
 
 
 def sequential_verify(
@@ -256,7 +248,9 @@ def sequential_verify(
 ) -> tuple[float, bool]:
     """:func:`screen_branches` of one hypothesis: its final confidence and
     whether it fell below prune_threshold."""
-    return screen_branches(ref, probe, [transform], initial_confidence, cfg)[0]
+    confidence, pruned = screen_branches(ref, probe, transform.s, transform.tx, transform.ty,
+                                         initial_confidence, cfg)
+    return float(confidence[0]), bool(pruned[0])
 
 
 def _refit_transform(
@@ -308,9 +302,9 @@ def _best_branch(ref, probe, hyp_cfg, ver_cfg):
         c = compatible_pairs(probe, taken, ref, hyp_cfg)
         c = CompatibleCouples(*(v[: ver_cfg.max_branches - branches] for v in c))
         quality = np.array([bp.quality for bp in taken])
-        screens = _screen(ref, probe, c.s, c.tx, c.ty, quality[c.basis], ver_cfg)
-        for k, n1, n2, s, tx, ty, (confidence, pruned) in zip(*(v.tolist() for v in c),
-                                                              screens):
+        screens = screen_branches(ref, probe, c.s, c.tx, c.ty, quality[c.basis], ver_cfg)
+        for k, n1, n2, s, tx, ty, confidence, pruned in zip(
+                *(v.tolist() for v in (*c, *screens))):
             branches += 1
             if pruned:
                 continue

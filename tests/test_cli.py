@@ -212,9 +212,11 @@ def test_overlay_renders_svg(self_pair, tmp_path, capsys):
         lambda doc: {**doc, "matched_pairs": [[-1, 0]]},
         lambda doc: {**doc, "decided": "yes"},
         lambda doc: {**doc, "basis": {"ref": [0, 1], "probe": [0, 200]}},
+        lambda doc: {**doc, "transform": {}},
+        lambda doc: {**doc, "basis": {}},
     ],
     ids=["fields-missing", "pair-index-too-large", "pair-index-negative",
-         "field-mistyped", "basis-index-too-large"],
+         "field-mistyped", "basis-index-too-large", "transform-empty", "basis-empty"],
 )
 def test_overlay_rejects_malformed_result(self_pair, tmp_path, capsys, edit):
     ref, probe = self_pair

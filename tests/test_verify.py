@@ -213,10 +213,13 @@ def test_sequential_five_misses_survive():
     assert conf == pytest.approx(0.8**5, rel=1e-12)
 
 
-def test_sequential_prunes_exactly_at_sixth_miss():
+@pytest.mark.parametrize("probe_count", [6, 20])
+def test_sequential_prunes_exactly_at_sixth_miss(probe_count):
+    # At probe_count 6 the prune falls on the last probe.
     ref = grid_ref()
     probe = drop_indices(ref, set(range(6)))
-    conf, pruned = sequential_verify(ref, probe, IDENTITY, 1.0)
+    conf, pruned = sequential_verify(ref, probe, IDENTITY, 1.0,
+                                     VerifyConfig(probe_count=probe_count))
     assert pruned
     assert conf == pytest.approx(0.262144, rel=1e-12)
     assert conf < 0.3
@@ -280,7 +283,11 @@ def test_screen_branches_equals_one_screen_per_transform(data, n_branches):
     initial = data.draw(initials | st.lists(initials, min_size=n_branches,
                                             max_size=n_branches))
     each = initial if isinstance(initial, list) else [initial] * n_branches
-    got = screen_branches(ref, probe, transforms, initial, cfg)
+    columns = ([t.s for t in transforms], [t.tx for t in transforms],
+               [t.ty for t in transforms])
+    confidence, pruned = screen_branches(ref, probe, *columns, initial, cfg)
+    assert (confidence.dtype, pruned.dtype) == (np.float64, np.bool_)
+    got = list(zip(confidence.tolist(), pruned.tolist()))
     assert got == [screen_oracle(ref, probe, t, c, cfg) for t, c in zip(transforms, each)]
     assert [sequential_verify(ref, probe, t, c, cfg) for t, c in zip(transforms, each)] == got
 
@@ -291,11 +298,14 @@ def test_screen_branches_keeps_each_branch_apart():
     probe = drop_indices(ref, set(range(6)))
     half = Transform(s=0.5, tx=0.0, ty=0.0)
     cfg = VerifyConfig()
-    got = screen_branches(ref, probe, [IDENTITY, half, IDENTITY], 1.0, cfg)
+    got = list(zip(*(v.tolist() for v in screen_branches(
+        ref, probe, [1.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1.0, cfg))))
     assert got[0] == got[2] == screen_oracle(ref, probe, IDENTITY, 1.0, cfg)
     assert got[0] == (pytest.approx(0.262144, rel=1e-12), True)
     assert got[1] == screen_oracle(ref, probe, half, 1.0, cfg)
-    assert screen_branches(ref, probe, [], 1.0) == []
+    confidence, pruned = screen_branches(ref, probe, [], [], [], 1.0)
+    assert (confidence.shape, confidence.dtype) == ((0,), np.float64)
+    assert (pruned.shape, pruned.dtype) == ((0,), np.bool_)
 
 
 # ------------------------------------------------------------------ refit
