@@ -59,6 +59,7 @@ from .verify import (
     VerifyConfig,
     count_coincidences,
     match,
+    match_each,
     screen_branches,
     sequential_verify,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "load_gallery",
     "load_pgm",
     "match",
+    "match_each",
     "miss_probability_general",
     "monte_carlo_miss",
     "parse",

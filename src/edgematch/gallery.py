@@ -14,7 +14,7 @@ from pathlib import Path
 from . import edges as edges_mod
 from .basis import HypothesisConfig
 from .edges import EdgeSet, require_int
-from .verify import MatchResult, VerifyConfig, match
+from .verify import MatchResult, VerifyConfig, match_each
 
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
@@ -169,19 +169,26 @@ def search(
 ) -> list[tuple[str, MatchResult]]:
     """Match the probe against every enrolled model.
 
-    Results are sorted by descending score, ties by id; searching an empty
-    gallery is an error.  Deterministic for a fixed gallery, probe, and
-    configuration.
+    Every model is parsed first, and held in memory while one match_each
+    call matches them all.  A model file that does not parse, or holds
+    another number of edges than its entry says, is a GalleryError naming
+    the model.  Results are sorted by descending score, ties by id;
+    searching an empty gallery is an error.  Deterministic for a fixed
+    gallery, probe, and configuration.
     """
     if not gallery.manifest:
         raise GalleryError("cannot search an empty gallery")
-    results = []
+    models = []
     for entry in gallery.manifest:
         data = (gallery.root / entry.file).read_bytes()
-        model = edges_mod.parse(data)
+        try:
+            model = edges_mod.parse(data)
+        except edges_mod.EdgeSetFormatError as exc:
+            raise GalleryError(f"model {entry.id!r} ({entry.file}): {exc}") from exc
         if len(model) != entry.edge_count:
             raise GalleryError(f"model {entry.id!r} has {len(model)} edges, manifest "
                                f"says {entry.edge_count}")
-        results.append((entry.id, match(model, probe, hyp_cfg, ver_cfg)))
+        models.append(model)
+    results = list(zip(gallery.ids(), match_each(models, probe, hyp_cfg, ver_cfg)))
     results.sort(key=lambda r: (-r[1].score, r[0]))
     return results

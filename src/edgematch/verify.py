@@ -12,6 +12,9 @@ The top-level `match` drives both gates over ranked basis hypotheses and
 refines the best surviving transform with a least-squares fit over its
 matched pairs: a basis couple pins the transform from just two edges and
 inherits their jitter, while the refit averages it over every coincidence.
+`match_each` does the same for one probe against many references, with
+their walks in lock-step, so that each round finds the couples of all of
+them in one call and screens them all in another.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from .basis import (
     compatible_pairs,
     iter_basis_pairs,
 )
-from .edges import EdgeSet, in_frame, query_near_batch, require_int, require_positive
+from .edges import (
+    EdgeSet,
+    _segment_ranges,
+    in_frame,
+    query_near_batch,
+    require_int,
+    require_positive,
+)
 
 
 @dataclass(frozen=True)
@@ -191,7 +201,8 @@ def count_coincidences(
 
 
 def screen_branches(
-    ref: EdgeSet,
+    refs: list[EdgeSet],
+    owner,
     probe: EdgeSet,
     s,
     tx,
@@ -202,12 +213,14 @@ def screen_branches(
     """Cheap sequential screen of the hypotheses s * p + (tx, ty): one
     float64 confidence and one bool pruned flag per hypothesis.
 
+    Hypothesis b maps the probe into the frame of refs[owner[b]].
     initial_confidence is one value for every hypothesis or one value per
     hypothesis.  Each hypothesis visits the probe_count most confident
-    reference edges (ties by lower index), looks for a probe edge within
-    eps_pos / s of the inverse-mapped position with a compatible
+    edges of its reference (ties by lower index), looks for a probe edge
+    within eps_pos / s of the inverse-mapped position with a compatible
     orientation, and multiplies the confidence by miss_factor on each
-    failure.  Hits leave it unchanged.  A branch is pruned at the first
+    failure.  Hits leave it unchanged, and a reference of fewer edges
+    counts its missing probes as hits.  A branch is pruned at the first
     probe that leaves it below prune_threshold, and reports the confidence
     of that probe; a branch that starts below it is pruned before any
     probe.  One batched query serves every hypothesis.
@@ -215,27 +228,36 @@ def screen_branches(
     if cfg is None:
         cfg = VerifyConfig()
     s, tx, ty = (np.asarray(v, dtype=np.float64).reshape(-1, 1) for v in (s, tx, ty))
-    arr_a = ref.arrays()
-    order = ref.ranked[: cfg.probe_count]
+    owner = np.asarray(owner, dtype=np.int64).reshape(-1)
+    orders = [r.ranked[: cfg.probe_count] for r in refs]
+    sizes = np.array([o.size for o in orders], dtype=np.int64)
+    width = int(sizes.max(initial=0))
+    # Row r holds the top edges of refs[r], padded to the widest.
+    cols = np.zeros((3, len(refs), width))
+    for r, (ref, order) in enumerate(zip(refs, orders)):
+        arr = ref.arrays()
+        cols[:, r, : order.size] = arr.x[order], arr.y[order], arr.theta[order]
+    valid = np.arange(width) < sizes[:, None]
+    ax, ay, atheta = cols[:, owner]
     # Row b holds the reference edges inverted through hypothesis b, with
-    # the bits of Transform.invert.
-    px = (arr_a.x[order] - tx) / s
-    py = (arr_a.y[order] - ty) / s
-    radius = np.repeat(cfg.eps_pos / s, order.size)
-    theta = np.tile(arr_a.theta[order], len(s))
-    q, _ = query_near_batch(probe, px, py, radius, theta, cfg.eps_theta)
-    hits = np.bincount(q, minlength=px.size).reshape(px.shape)
+    # the bits of Transform.invert.  Padding cells are queried too, and
+    # their outcome ignored.
+    px = (ax - tx) / s
+    py = (ay - ty) / s
+    radius = np.repeat(cfg.eps_pos / s, width)
+    q, _ = query_near_batch(probe, px, py, radius, atheta.ravel(), cfg.eps_theta)
+    miss = (np.bincount(q, minlength=px.size).reshape(px.shape) == 0) & valid[owner]
     # Column k of the walk is the confidence after k probes: the product,
     # left to right, of the initial value and a factor per probe, 1.0 on a
-    # hit, so every step has the bits of a scalar walk.
-    steps = np.empty((len(s), order.size + 1))
+    # hit or a padding cell, so every step has the bits of a scalar walk.
+    steps = np.empty((len(s), width + 1))
     steps[:, 0] = initial_confidence
-    steps[:, 1:] = np.where(hits == 0, cfg.miss_factor, 1.0)
+    steps[:, 1:] = np.where(miss, cfg.miss_factor, 1.0)
     walk = np.cumprod(steps, axis=1)
     # NaN is not below the threshold, so a NaN confidence is never pruned.
     below = walk < cfg.prune_threshold
     pruned = below.any(axis=1)
-    stop = np.where(pruned, below.argmax(axis=1), order.size)
+    stop = np.where(pruned, below.argmax(axis=1), width)
     return walk[np.arange(len(s)), stop], pruned
 
 
@@ -248,8 +270,8 @@ def sequential_verify(
 ) -> tuple[float, bool]:
     """:func:`screen_branches` of one hypothesis: its final confidence and
     whether it fell below prune_threshold."""
-    confidence, pruned = screen_branches(ref, probe, transform.s, transform.tx, transform.ty,
-                                         initial_confidence, cfg)
+    confidence, pruned = screen_branches([ref], [0], probe, transform.s, transform.tx,
+                                         transform.ty, initial_confidence, cfg)
     return float(confidence[0]), bool(pruned[0])
 
 
@@ -289,43 +311,124 @@ def _refit_transform(
     return Transform(s=s, tx=float(qxm - s * pxm), ty=float(qym - s * pym))
 
 
-def _best_branch(ref, probe, hyp_cfg, ver_cfg):
-    """The branch walk of :func:`match`: (branches tried, best branch or
-    None)."""
-    branches = 0
-    best = None
-    if len(probe) < 2:  # no probe couple
-        return branches, best
-    bases = iter_basis_pairs(ref, hyp_cfg)
-    group = 1
-    while taken := list(islice(bases, group)):
-        c = compatible_pairs(probe, taken, ref, hyp_cfg)
-        c = CompatibleCouples(*(v[: ver_cfg.max_branches - branches] for v in c))
-        quality = np.array([bp.quality for bp in taken])
-        screens = screen_branches(ref, probe, c.s, c.tx, c.ty, quality[c.basis], ver_cfg)
-        for k, n1, n2, s, tx, ty, confidence, pruned in zip(
-                *(v.tolist() for v in (*c, *screens))):
-            branches += 1
+def _count_branch(ref, probe, t_raw, hyp_cfg, ver_cfg):
+    """(score, transform, pairs) of a surviving branch: the count under
+    t_raw, or under its least-squares refit when that counts at least as
+    well."""
+    pairs, score = count_coincidences(ref, probe, t_raw, ver_cfg)
+    t_ref = _refit_transform(ref, probe, pairs, hyp_cfg.s_min, hyp_cfg.s_max)
+    if t_ref is not None:
+        pairs_r, score_r = count_coincidences(ref, probe, t_ref, ver_cfg)
+        if score_r >= score:
+            return score_r, t_ref, pairs_r
+    return score, t_raw, pairs
+
+
+class _Walk:
+    """The basis walk of one reference in :func:`match_each`."""
+
+    def __init__(self, ref: EdgeSet, hyp_cfg: HypothesisConfig):
+        self.ref = ref
+        self.bases = iter_basis_pairs(ref, hyp_cfg)
+        self.group = 1  # bases to read next round
+        self.taken: list = []  # bases read this round
+        self.branches = 0
+        self.best = None  # (score, transform, pairs, confidence, basis, probe couple)
+        self.accepted = False
+
+
+def _walk_in_lockstep(walks: list[_Walk], probe, hyp_cfg, ver_cfg) -> None:
+    """Run every walk to its end, all in rounds.
+
+    A round reads each live walk's next group of bases, finds the couples of
+    them all with one compatible_pairs call, cuts each walk's couples at its
+    remaining budget, screens them all with one screen_branches call, and
+    then walks each one's survivors in couple order.
+    """
+    budget = ver_cfg.max_branches
+    live = walks
+    while live:
+        for w in live:
+            w.taken = list(islice(w.bases, w.group))
+        live = [w for w in live if w.taken]
+        if not live:
+            return
+        bases = [b for w in live for b in w.taken]
+        c = compatible_pairs(probe, bases, [w.ref for w in live for _ in w.taken], hyp_cfg)
+        # Each walk's couples are contiguous: keep the first budget - branches.
+        first = np.cumsum([0] + [len(w.taken) for w in live])
+        lo = np.searchsorted(c.basis, first[:-1])
+        hi = np.minimum(np.searchsorted(c.basis, first[1:]),
+                        lo + [budget - w.branches for w in live])
+        keep = _segment_ranges(lo, hi - lo)
+        c = CompatibleCouples(*(v[keep] for v in c))
+        owner = np.arange(len(live)).repeat(hi - lo)
+        quality = np.array([b.quality for b in bases])
+        screens = screen_branches([w.ref for w in live], owner, probe, c.s, c.tx, c.ty,
+                                  quality[c.basis], ver_cfg)
+        for o, k, n1, n2, s, tx, ty, confidence, pruned in zip(
+                *(v.tolist() for v in (owner, *c, *screens))):
+            w = live[o]
+            if w.accepted:
+                continue
+            w.branches += 1
             if pruned:
                 continue
-            t_raw = Transform(s=s, tx=tx, ty=ty)
-            pairs, score = count_coincidences(ref, probe, t_raw, ver_cfg)
-            t_best, pairs_best, score_best = t_raw, pairs, score
-            t_ref = _refit_transform(ref, probe, pairs, hyp_cfg.s_min, hyp_cfg.s_max)
-            if t_ref is not None:
-                pairs_r, score_r = count_coincidences(ref, probe, t_ref, ver_cfg)
-                if score_r >= score:
-                    t_best, pairs_best, score_best = t_ref, pairs_r, score_r
-            if best is None or score_best > best[0]:
-                best = (score_best, t_best, pairs_best, confidence, taken[k], (n1, n2))
-            if score_best >= ver_cfg.accept_score:
-                return branches, best
-        if branches == ver_cfg.max_branches:
-            break
-        # Each basis gives at most max_pairs_n couples, so every basis of
-        # the next group is read within the budget.
-        group = -(-(ver_cfg.max_branches - branches) // hyp_cfg.max_pairs_n)
-    return branches, best
+            score, t, pairs = _count_branch(w.ref, probe, Transform(s=s, tx=tx, ty=ty),
+                                            hyp_cfg, ver_cfg)
+            if w.best is None or score > w.best[0]:
+                w.best = (score, t, pairs, confidence, bases[k], (n1, n2))
+            w.accepted = score >= ver_cfg.accept_score
+        live = [w for w in live if not w.accepted and w.branches < budget]
+        for w in live:
+            # Each basis gives at most max_pairs_n couples, so every basis of
+            # the next group is read within the budget.
+            w.group = -(-(budget - w.branches) // hyp_cfg.max_pairs_n)
+
+
+def _result(w: _Walk, probe: EdgeSet, ver_cfg: VerifyConfig) -> MatchResult:
+    ref = w.ref
+    if w.best is None:
+        return MatchResult(decided=False, score=0.0, transform=None,
+                           counts=(0, len(ref), 0), branches_tried=w.branches)
+    score, transform, pairs, confidence, bp, n_pair = w.best
+    arr_n = probe.arrays()
+    mx, my = transform.apply(arr_n.x, arr_n.y)
+    n_visible = int(in_frame(mx, my, ref.width, ref.height).sum())
+    return MatchResult(
+        decided=score >= ver_cfg.accept_score,
+        score=score,
+        transform=transform,
+        matched_pairs=pairs,
+        counts=(len(pairs), len(ref), n_visible),
+        branches_tried=w.branches,
+        confidence=confidence,
+        basis=((bp.i, bp.j), n_pair),
+    )
+
+
+def match_each(
+    refs: list[EdgeSet],
+    probe: EdgeSet,
+    hyp_cfg: HypothesisConfig | None = None,
+    ver_cfg: VerifyConfig | None = None,
+) -> list[MatchResult]:
+    """:func:`match` of the probe against each reference set, in order.
+
+    Every result equals that of a match on its own.  The walks run in
+    lock-step rounds, so that the couples of every reference's next group
+    of bases are found in one compatible_pairs call and screened in one
+    screen_branches call; a walk that accepts or spends its budget drops
+    out, and the others go on.
+    """
+    if hyp_cfg is None:
+        hyp_cfg = HypothesisConfig()
+    if ver_cfg is None:
+        ver_cfg = VerifyConfig()
+    walks = [_Walk(ref, hyp_cfg) for ref in refs]
+    if len(probe) >= 2:  # else there is no probe couple
+        _walk_in_lockstep(walks, probe, hyp_cfg, ver_cfg)
+    return [_result(w, probe, ver_cfg) for w in walks]
 
 
 def match(
@@ -346,27 +449,7 @@ def match(
     counts better), and the search stops at max_branches or as soon as a
     branch reaches accept_score.  The best surviving branch is reported;
     with no surviving branch the result is an undecided reject with no
-    transform.  Deterministic for fixed inputs.
+    transform.  Deterministic for fixed inputs.  The one-reference case of
+    :func:`match_each`.
     """
-    if hyp_cfg is None:
-        hyp_cfg = HypothesisConfig()
-    if ver_cfg is None:
-        ver_cfg = VerifyConfig()
-    branches, best = _best_branch(ref, probe, hyp_cfg, ver_cfg)
-    if best is None:
-        return MatchResult(decided=False, score=0.0, transform=None,
-                           counts=(0, len(ref), 0), branches_tried=branches)
-    score, transform, pairs, confidence, bp, n_pair = best
-    arr_n = probe.arrays()
-    mx, my = transform.apply(arr_n.x, arr_n.y)
-    n_visible = int(in_frame(mx, my, ref.width, ref.height).sum())
-    return MatchResult(
-        decided=score >= ver_cfg.accept_score,
-        score=score,
-        transform=transform,
-        matched_pairs=pairs,
-        counts=(len(pairs), len(ref), n_visible),
-        branches_tried=branches,
-        confidence=confidence,
-        basis=((bp.i, bp.j), n_pair),
-    )
+    return match_each([ref], probe, hyp_cfg, ver_cfg)[0]

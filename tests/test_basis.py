@@ -494,7 +494,7 @@ def test_compatible_pairs_equals_the_per_basis_oracle(data, chunk):
     probe = EdgeSet(200, 200, [Edge(x, y, t) for x, y, t in rows])
     # Small chunks cut the cells of one basis, and of several, apart.
     with patch.object(basis_mod, "_CHUNK_CELLS", chunk):
-        got = compatible_pairs(probe, bases, ref, cfg)
+        got = compatible_pairs(probe, bases, [ref] * len(bases), cfg)
     expected = [
         (k, n1, n2, s, tx, ty)
         for k, b in enumerate(bases)

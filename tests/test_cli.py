@@ -252,6 +252,23 @@ def test_gallery_enroll_and_search(tmp_path, capsys):
     assert doc["results"][0]["match"]["decided"] is True
 
 
+def test_gallery_search_names_a_model_file_that_does_not_parse(tmp_path, capsys):
+    root = tmp_path / "gal"
+    for k in range(3):
+        es = write_edgeset(tmp_path / f"m{k}.edgeset", random_edge_set(20, 256, 256, seed=k))
+        assert main(["gallery", "enroll", es, "--root", str(root), "--id", f"m{k}"]) == 0
+    path = root / "models" / "m2.edgeset"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[4] = b"1.0 2.0 3.0\n"
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    rc = main(["gallery", "search", "--root", str(root), "--probe",
+               str(tmp_path / "m0.edgeset")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: model 'm2' (models/m2.edgeset): line 5: expected 6 fields, got 3\n")
+
+
 def test_gallery_duplicate_enroll_fails(tmp_path, capsys):
     root = tmp_path / "gal"
     a = write_edgeset(tmp_path / "a.edgeset", random_edge_set(50, 256, 256, seed=31))

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,13 +12,17 @@ import pytest
 
 import edgematch
 from edgematch import edges as edges_mod
+from edgematch import verify as verify_mod
 from edgematch import (
     CorruptionSpec,
+    Edge,
+    EdgeSet,
     GalleryError,
     Transform,
     corrupt_and_transform,
     enroll,
     load_gallery,
+    match,
     parse,
     random_edge_set,
     search,
@@ -260,3 +266,86 @@ def test_search_rejects_a_model_whose_edge_count_differs_from_its_entry(tmp_path
         edges_mod.serialize(random_edge_set(5, 256, 256, seed=9)))
     with pytest.raises(GalleryError, match=r"'model-1' has 5 edges, manifest says 50"):
         search(load_gallery(tmp_path), random_edge_set(50, 256, 256, seed=0))
+
+
+def test_search_names_a_model_file_that_does_not_parse(tmp_path):
+    build_small_gallery(tmp_path, n_models=3, n_edges=50)
+    path = tmp_path / "models" / "model-1.edgeset"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[4] = b"1.0 2.0 3.0\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(GalleryError, match=r"^model 'model-1' \(models/model-1\.edgeset\): "
+                                           r"line 5: expected 6 fields, got 3$"):
+        search(load_gallery(tmp_path), random_edge_set(50, 256, 256, seed=0))
+
+
+# ---------------------------------------------------------- lock-step search
+
+
+def mixed_gallery(root):
+    """Models of every kind that a walk in lock-step treats apart, the planted
+    one in the middle, with probes that hit it, miss every model, and form no
+    couple."""
+    planted = random_edge_set(200, 256, 256, seed=61)
+    # Parallel edges form no admissible couple, so this walk reads no basis.
+    parallel = EdgeSet(256, 256, [Edge(20.0 + 40.0 * k, 30.0 + 25.0 * k, 1.0, 0.9)
+                                  for k in range(6)])
+    models = [
+        ("big-a", random_edge_set(300, 256, 256, seed=62)),
+        ("few", random_edge_set(12, 256, 256, seed=63)),  # fewer than probe_count
+        ("planted", planted),
+        ("parallel", parallel),
+        ("empty", EdgeSet(256, 256, [])),
+        ("big-b", random_edge_set(300, 256, 256, seed=64)),
+    ]
+    g = load_gallery(root)
+    for id, es in models:
+        g = enroll(g, id, es, timestamp=TS)
+    probes = [
+        corrupt_and_transform(planted, Transform(s=1.1, tx=-6.0, ty=4.0),
+                              CorruptionSpec(dropout=0.1, jitter_pos=0.3, jitter_theta=0.02,
+                                             clutter_frac=0.1, seed=65), 300, 300),
+        random_edge_set(1000, 400, 400, seed=66),
+        random_edge_set(1, 256, 256, seed=67),
+    ]
+    return g, probes
+
+
+def test_search_json_digest_pinned(tmp_path):
+    g, probes = mixed_gallery(tmp_path)
+    out = [search(g, probe) for probe in probes]
+    assert out[0][0][0] == "planted" and out[0][0][1].decided
+    doc = json.dumps([[[id, r.to_json_dict()] for id, r in res] for res in out],
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "33209740c12c5af571f1ff44639d24dbaf074218629d17e05c4d33aa501ea5b8")
+
+
+def test_search_reads_the_bases_and_branches_of_one_match_per_model(tmp_path, monkeypatch):
+    g, probes = mixed_gallery(tmp_path)
+    original = verify_mod.iter_basis_pairs
+    read = defaultdict(list)
+
+    def counting(es, cfg=None):
+        for bp in original(es, cfg):
+            read[edges_mod.serialize(es)].append(bp)
+            yield bp
+
+    monkeypatch.setattr(verify_mod, "iter_basis_pairs", counting)
+    models = {e.id: parse((tmp_path / e.file).read_bytes()) for e in g.manifest}
+    for probe in probes:
+        read.clear()
+        together = dict(search(g, probe))
+        in_search = dict(read)
+        if together["planted"].decided:
+            # An accept on the first branch stops that walk after one basis,
+            # while the others read on.
+            assert together["planted"].branches_tried == 1
+            assert len(in_search[edges_mod.serialize(models["planted"])]) == 1
+        for id, model in models.items():
+            read.clear()
+            alone = match(model, probe)
+            key = edges_mod.serialize(model)
+            assert in_search.get(key, []) == read.get(key, []), id
+            assert together[id].branches_tried == alone.branches_tried, id
+            assert together[id].to_json_dict() == alone.to_json_dict(), id

@@ -267,6 +267,13 @@ def test_screen_branches_equals_one_screen_per_transform(data, n_branches):
     spec = CorruptionSpec(dropout=data.draw(st.sampled_from([0.0, 0.3, 0.8])),
                           jitter_pos=0.5, clutter_frac=0.5, seed=7)
     probe = corrupt_and_transform(ref, truth, spec, 128, 96)
+    # A second reference of another size, a part of the first (so that it
+    # hits near the truth as well) or another random set.
+    m = data.draw(st.integers(0, 40).filter(lambda m: m != n))
+    other = (EdgeSet(128, 96, ref.edges[:m]) if m < n and data.draw(st.booleans())
+             else random_edge_set(m, 128, 96, seed=data.draw(st.integers(0, 2**16))))
+    refs = [ref, other]
+    owner = data.draw(st.lists(st.integers(0, 1), min_size=n_branches, max_size=n_branches))
     # Half the hypotheses sit near the truth, so branches hit as well as miss.
     scales = st.sampled_from([hyp.s_min, hyp.s_max]) | st.floats(hyp.s_min, hyp.s_max)
     transforms = [
@@ -285,11 +292,13 @@ def test_screen_branches_equals_one_screen_per_transform(data, n_branches):
     each = initial if isinstance(initial, list) else [initial] * n_branches
     columns = ([t.s for t in transforms], [t.tx for t in transforms],
                [t.ty for t in transforms])
-    confidence, pruned = screen_branches(ref, probe, *columns, initial, cfg)
+    confidence, pruned = screen_branches(refs, owner, probe, *columns, initial, cfg)
     assert (confidence.dtype, pruned.dtype) == (np.float64, np.bool_)
     got = list(zip(confidence.tolist(), pruned.tolist()))
-    assert got == [screen_oracle(ref, probe, t, c, cfg) for t, c in zip(transforms, each)]
-    assert [sequential_verify(ref, probe, t, c, cfg) for t, c in zip(transforms, each)] == got
+    assert got == [screen_oracle(refs[o], probe, t, c, cfg)
+                   for o, t, c in zip(owner, transforms, each)]
+    assert [sequential_verify(refs[o], probe, t, c, cfg)
+            for o, t, c in zip(owner, transforms, each)] == got
 
 
 def test_screen_branches_keeps_each_branch_apart():
@@ -299,11 +308,12 @@ def test_screen_branches_keeps_each_branch_apart():
     half = Transform(s=0.5, tx=0.0, ty=0.0)
     cfg = VerifyConfig()
     got = list(zip(*(v.tolist() for v in screen_branches(
-        ref, probe, [1.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1.0, cfg))))
+        [ref], [0, 0, 0], probe, [1.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 1.0,
+        cfg))))
     assert got[0] == got[2] == screen_oracle(ref, probe, IDENTITY, 1.0, cfg)
     assert got[0] == (pytest.approx(0.262144, rel=1e-12), True)
     assert got[1] == screen_oracle(ref, probe, half, 1.0, cfg)
-    confidence, pruned = screen_branches(ref, probe, [], [], [], 1.0)
+    confidence, pruned = screen_branches([ref], [], probe, [], [], [], 1.0)
     assert (confidence.shape, confidence.dtype) == ((0,), np.float64)
     assert (pruned.shape, pruned.dtype) == ((0,), np.bool_)
 
