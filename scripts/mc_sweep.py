@@ -3,8 +3,10 @@
 
 For each (p, m) cell the closed form [1 - (1-p)^k]^m is compared against a
 seeded simulation; the gap is reported in units of the binomial standard
-error. Large sweeps stay fast because trials are chunked and optionally
-spread over worker threads without changing the sampled stream.
+error. Large sweeps stay fast and small in memory: each chunk of trials
+is drawn in cache-sized blocks, a trial stops being read at its first
+fully detected couple, and chunks may be spread over worker threads
+without changing the sampled stream.
 """
 
 import argparse

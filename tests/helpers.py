@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 PI = math.pi
 
@@ -165,3 +167,15 @@ def oracle_coincidences(ref, probe, transform, eps_pos, eps_theta):
     denom = len(ref_edges) + visible
     score = 2.0 * len(pairs) / denom if denom else 0.0
     return pairs, score
+
+
+def oracle_monte_carlo_misses(p, m, k, trials, seed, chunk_trials):
+    """Misses of the chunked Monte Carlo, each chunk's (size, m, k) uniforms
+    drawn at once from PCG64 keyed by [seed, chunk id]: an edge is detected
+    when u >= p, and a trial misses when no couple has every edge detected."""
+    misses = 0
+    for cid, start in enumerate(range(0, trials, chunk_trials)):
+        rng = np.random.default_rng([seed, cid])
+        size = min(chunk_trials, trials - start)
+        misses += int((~(rng.random((size, m, k)) >= p).all(2).any(1)).sum())
+    return misses

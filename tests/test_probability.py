@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from edgematch import (
     miss_probability_general,
     monte_carlo_miss,
 )
-from edgematch.probability import CHUNK_TRIALS
+from edgematch.probability import _BLOCK_DRAWS, CHUNK_TRIALS
+
+from helpers import oracle_monte_carlo_misses
 
 
 def exact_miss(p: Fraction, m: int, k: int = 2) -> float:
@@ -125,6 +128,31 @@ def test_chunk_boundaries():
     a, _ = monte_carlo_miss(params, CHUNK_TRIALS, seed=2)
     b, _ = monte_carlo_miss(params, CHUNK_TRIALS, seed=3)
     assert a != b
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+def test_monte_carlo_equals_the_dense_oracle(p):
+    # Trial counts straddle the end of a draw block and of a chunk.  No case
+    # has more than 3 chunks, so 7 workers always exceed the chunk count.
+    for m in (0, 1, 5, 20):
+        for k in (1, 2, 3):
+            block = _BLOCK_DRAWS // (m * k) if m else CHUNK_TRIALS
+            for trials in (block - 1, block, block + 1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1):
+                misses = oracle_monte_carlo_misses(p, m, k, trials, 5, CHUNK_TRIALS)
+                for workers in (1, 2, 3, 7):
+                    est, _ = monte_carlo_miss(ProbabilityParams(p, m), trials, seed=5,
+                                              edges_per_couple=k, workers=workers)
+                    assert est == misses / trials, (m, k, trials, workers)
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_chunk():
+    tracemalloc.start()
+    try:
+        monte_carlo_miss(ProbabilityParams(0.1, 20), 2 * CHUNK_TRIALS, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
