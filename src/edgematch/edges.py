@@ -384,8 +384,10 @@ def query_near_batch(
     ok = (dx * dx + dy * dy <= r2[q]) & (
         angular_distance_array(arr.theta[edge], qt[q]) <= eps_theta
     )
-    q, edge = q[ok], edge[ok]
-    # Edges of one query come out grouped by cell row.
-    by = np.lexsort((edge, q))
-    return q[by], edge[by]
+    # Edges of one query come out grouped by cell row.  The cells of one
+    # query are disjoint, so each (query, edge) pair occurs once, and one
+    # integer key sorts them by query, then edge.
+    n = max(len(es), 1)
+    key = np.sort(q[ok] * n + edge[ok])
+    return np.divmod(key, n)
 

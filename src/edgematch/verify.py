@@ -167,8 +167,13 @@ def count_coincidences(
     edges are processed in descending confidence (ties by lower index); each
     claims its nearest reference edge within eps_pos and eps_theta that is
     still unclaimed (distance ties by lower reference index).  Returns the
-    matched (ref_index, probe_index) pairs and 2m / (|ref| + |visible|),
-    defined as 0 when both counts are zero.
+    matched (ref_index, probe_index) pairs in processing order and
+    2m / (|ref| + |visible|), defined as 0 when both counts are zero.
+
+    A probe edge whose nearest candidate no other probe edge lists claims
+    it whatever the order, so all of those are resolved in one array pass;
+    only the probe edges whose nearest candidate is shared are walked in
+    order.  The result is that of walking every probe edge.
     """
     if cfg is None:
         cfg = VerifyConfig()
@@ -181,21 +186,36 @@ def count_coincidences(
     if denominator == 0:
         return [], 0.0
     order = probe.ranked[visible[probe.ranked]]
-    # Query k is the probe edge of rank k; its candidates are tried nearest
-    # first, ties by lower reference index.
+    # Query k is the probe edge of rank k.  Its hits come sorted by reference
+    # index; a query of several candidates tries them nearest first, ties by
+    # lower reference index.
     qx, qy = mx[order], my[order]
     rank, cand = query_near_batch(ref, qx, qy, cfg.eps_pos, arr_n.theta[order], cfg.eps_theta)
-    dx = arr_a.x[cand] - qx[rank]
-    dy = arr_a.y[cand] - qy[rank]
-    by = np.lexsort((cand, dx * dx + dy * dy, rank))
+    hits = np.bincount(rank, minlength=order.size)
+    multi = np.flatnonzero(hits[rank] >= 2)
+    mk, ma = rank[multi], cand[multi]
+    dx = arr_a.x[ma] - qx[mk]
+    dy = arr_a.y[ma] - qy[mk]
+    cand[multi] = ma[np.lexsort((ma, dx * dx + dy * dy, mk))]
+    # A query whose first candidate no other query lists claims it, since no
+    # earlier query can have.  Those references are in no other list, so the
+    # remaining queries, walked in rank order, see the claims they would see
+    # in a walk of every query.
+    some = hits > 0
+    first = cand[(np.cumsum(hits) - hits)[some]]
+    easy = np.bincount(cand, minlength=len(ref))[first] == 1
+    claim = np.full(order.size, -1)
+    claim[some] = np.where(easy, first, -1)
+    walked = np.flatnonzero(claim[rank] < 0)
     claimed: set[int] = set()
-    pairs: list[tuple[int, int]] = []
     last = -1
-    for k, a in zip(rank[by].tolist(), cand[by].tolist()):
+    for k, a in zip(rank[walked].tolist(), cand[walked].tolist()):
         if k != last and a not in claimed:
             claimed.add(a)
-            pairs.append((a, int(order[k])))
+            claim[k] = a
             last = k
+    got = np.flatnonzero(claim >= 0)
+    pairs = list(zip(claim[got].tolist(), order[got].tolist()))
     score = 2.0 * len(pairs) / denominator
     return pairs, score
 

@@ -326,6 +326,12 @@ def test_batched_query_on_empty_inputs():
     empty = EdgeSet(64, 64, ())
     q, e = query_near_batch(empty, [1.0, 2.0], [1.0, 2.0], 50.0, [0.0, 0.0], 3.2)
     assert q.size == e.size == 0
+    # A batch of queries over a 0-edge set, one of them reaching every cell:
+    # sorting on the (query, edge) key must not divide by zero.
+    q, e = query_near_batch(empty, [-5.0, 30.0, 70.0], [-5.0, 30.0, 70.0],
+                            [np.inf, 0.0, 100.0], [0.0, 1.0, 2.0], 3.2)
+    assert q.size == e.size == 0
+    assert q.dtype == e.dtype == np.int64
 
 
 @pytest.mark.parametrize("cell", [1.0, 2.0])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from edgematch import verify as verify_mod
 from edgematch.edges import TWO_PI
 from edgematch.verify import _refit_transform
 
-from helpers import oracle_coincidences
+from helpers import oracle_coincidences, oracle_query
 
 IDENTITY = Transform(s=1.0, tx=0.0, ty=0.0)
 
@@ -179,6 +180,38 @@ def test_coincidences_on_integer_grid_match_oracle(eps_pos):
     cfg = VerifyConfig(eps_pos=eps_pos, eps_theta=0.2)
     got = count_coincidences(ref, probe, IDENTITY, cfg)
     assert got == oracle_coincidences(ref, probe, IDENTITY, eps_pos, 0.2)
+
+
+@pytest.mark.parametrize("s", [1.0, 1.1])
+def test_contested_coincidences_match_oracle(s):
+    # 200 reference and 300 probe edges in a 40 x 40 frame, with eps_pos 4
+    # and eps_theta 1.0: most probe edges have several candidates, and many
+    # references are the candidate of several probe edges.  Confidences on
+    # three levels tie the processing order.
+    rng = np.random.default_rng(17)
+
+    def edges(n):
+        cols = (rng.uniform(0.0, 40.0, n), rng.uniform(0.0, 40.0, n),
+                rng.uniform(0.0, TWO_PI, n), rng.integers(1, 4, n) / 3.0)
+        return EdgeSet(40, 40, tuple(Edge(x, y, t, 0.0, c) for x, y, t, c in zip(*cols)))
+
+    ref, probe = edges(200), edges(300)
+    transform = Transform(s=s, tx=0.0, ty=0.0)
+    got = count_coincidences(ref, probe, transform, VerifyConfig(eps_pos=4.0, eps_theta=1.0))
+    assert got == oracle_coincidences(ref, probe, transform, 4.0, 1.0)
+    # The case is contested: some reference is the candidate of at least
+    # three probe edges, and some probe edge's nearest candidate is the
+    # candidate of another probe edge too.
+    cands = []
+    for e in probe.edges:
+        x, y = s * e.x, s * e.y
+        if x < 40.0 and y < 40.0:
+            near = oracle_query(ref, x, y, 4.0, e.theta, 1.0)
+            cands.append((near, min(near, key=lambda a: (
+                (ref.edges[a].x - x) ** 2 + (ref.edges[a].y - y) ** 2, a), default=None)))
+    listed = Counter(a for near, _ in cands for a in near)
+    assert max(listed.values()) >= 3
+    assert any(listed[first] >= 2 for _, first in cands if first is not None)
 
 
 @given(
