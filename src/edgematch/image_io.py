@@ -13,6 +13,7 @@ import numpy as np
 # patterns \s is [ \t\n\r\f\v], the set that bytes.split() splits on.
 _COMMENT = re.compile(rb"#[^\r\n]*")
 _TOKEN = re.compile(rb"(?:\s|" + _COMMENT.pattern + rb")*([^\s#]*)")
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\v\f"
 
 
 class PgmFormatError(ValueError):
@@ -67,6 +68,43 @@ def _token_int(tok: bytes, what: str) -> int:
         raise PgmFormatError(f"non-numeric {what} field {tok!r}") from None
 
 
+def _bulk_samples(payload: bytes, n: int, maxval: int) -> np.ndarray | None:
+    """The n samples of a payload of ASCII digit runs and whitespace, read
+    in one array pass, or None when `_token_samples` must read it: another
+    byte, no digit at all, a count other than n, or a value above maxval
+    (a run too long for int64 reads as INT64_MAX)."""
+    # np.fromstring reads a whitespace-only payload as one 0.
+    if not payload.strip() or payload.translate(None, _DIGITS_AND_SPACE):
+        return None
+    raw = np.fromstring(payload, dtype=np.int64, sep=" ")
+    if len(raw) != n or raw.max() > maxval:
+        return None
+    return raw.astype(np.float64)
+
+
+def _token_samples(payload: bytes, n: int, maxval: int) -> np.ndarray:
+    """The n samples of a comment-blanked payload, each token read by int(),
+    or the PgmFormatError of the first bad sample or of a wrong count."""
+    tokens = payload.split()
+    samples = tokens[:n]
+    try:
+        raw = np.array(list(map(int, samples)), dtype=np.float64)
+        ok = ((raw >= 0.0) & (raw <= maxval)).all()
+    except (ValueError, OverflowError):  # non-numeric, or too large for a float
+        ok = False
+    if not ok:
+        # A bad sample among the first n outranks a short or long payload.
+        for tok in samples:
+            v = _token_int(tok, "sample")
+            if v < 0 or v > maxval:
+                raise PgmFormatError(f"sample {v} outside [0, {maxval}]")
+    if len(tokens) < n:
+        raise PgmFormatError(f"ASCII payload truncated after {len(tokens)} of {n} samples")
+    if len(tokens) > n:
+        raise PgmFormatError("trailing data after final sample")
+    return raw
+
+
 def load_pgm(data: bytes) -> GrayImage:
     """Parse P2 (ASCII) or P5 (binary) PGM bytes, normalizing by maxval.
 
@@ -75,6 +113,9 @@ def load_pgm(data: bytes) -> GrayImage:
     for bad magic numbers, zero dimensions, a zero maxval, and truncated or
     oversized payloads.  P2 samples are the whitespace-separated tokens left
     once each '#' comment (up to CR or LF) is blanked, each read by int().
+    A payload of nothing but ASCII digits and whitespace is decoded in one
+    array pass with the same result; any other payload, and one whose count
+    or values are wrong, is read token by token and keeps its errors.
     """
     data = bytes(data)
     magic, pos = _header_token(data, 0)
@@ -112,23 +153,10 @@ def load_pgm(data: bytes) -> GrayImage:
         if bad.any():
             raise PgmFormatError(f"sample {int(raw[bad][0])} exceeds maxval {maxval}")
     else:
-        tokens = _COMMENT.sub(b" ", data[pos:]).split()
-        samples = tokens[:n]
-        try:
-            raw = np.array(list(map(int, samples)), dtype=np.float64)
-            ok = ((raw >= 0.0) & (raw <= maxval)).all()
-        except (ValueError, OverflowError):  # non-numeric, or too large for a float
-            ok = False
-        if not ok:
-            # A bad sample among the first n outranks a short or long payload.
-            for tok in samples:
-                v = _token_int(tok, "sample")
-                if v < 0 or v > maxval:
-                    raise PgmFormatError(f"sample {v} outside [0, {maxval}]")
-        if len(tokens) < n:
-            raise PgmFormatError(f"ASCII payload truncated after {len(tokens)} of {n} samples")
-        if len(tokens) > n:
-            raise PgmFormatError("trailing data after final sample")
+        payload = _COMMENT.sub(b" ", data[pos:])
+        raw = _bulk_samples(payload, n, maxval)
+        if raw is None:
+            raw = _token_samples(payload, n, maxval)
     pixels = (raw / float(maxval)).reshape(height, width)
     return GrayImage(width=width, height=height, pixels=pixels)
 

@@ -179,3 +179,33 @@ def oracle_monte_carlo_misses(p, m, k, trials, seed, chunk_trials):
         size = min(chunk_trials, trials - start)
         misses += int((~(rng.random((size, m, k)) >= p).all(2).any(1)).sum())
     return misses
+
+
+def oracle_p2_samples(payload: bytes, n: int, maxval: int) -> list[int]:
+    """The n samples of a P2 payload, read the slow way: each '#' up to the
+    next CR or LF becomes one space, the rest splits on whitespace, and each
+    token goes through int() in order.  Raises ValueError with the message
+    load_pgm's PgmFormatError must carry: the first bad sample among the
+    first n, else a short or long count."""
+    blanked = bytearray()
+    in_comment = False
+    for b in payload:
+        if in_comment and b not in b"\r\n":
+            continue
+        in_comment = b == ord("#")
+        blanked += b" " if in_comment else bytes([b])
+    tokens = bytes(blanked).split()
+    samples = []
+    for tok in tokens[:n]:
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ValueError(f"non-numeric sample field {tok!r}") from None
+        if not 0 <= v <= maxval:
+            raise ValueError(f"sample {v} outside [0, {maxval}]")
+        samples.append(v)
+    if len(tokens) < n:
+        raise ValueError(f"ASCII payload truncated after {len(tokens)} of {n} samples")
+    if len(tokens) > n:
+        raise ValueError("trailing data after final sample")
+    return samples

@@ -357,3 +357,131 @@ def _pinned_outputs(tmp_path, synth_prefix, mc_csv, match_json) -> dict:
                      "--out", str(svg)]) == 0
     out["overlay svg"] = sha(svg.read_bytes())
     return out
+
+
+# --------------------------------------------------------------------------
+# Criterion 11: a ratchet on the true pairs `match` does not yet register.
+#
+# These are the benchmark's hard `register` pairs, rebuilt here from the
+# same seeds with `synth` and `spectral` alone, under dropout 0.1, 0.5 px and
+# 0.05 rad jitter and clutter 0.1: per seed, five partial-overlap crops at
+# s = 1 shifted by 30-50% of the frame (one per reference), four full-overlap
+# pairs on edges extracted from rendered scenes, and twenty full-overlap
+# pairs of random sets.  A pair passes when `match` accepts it within 2%
+# scale and 2 px shift.  A fix that registers more pairs lowers the
+# recorded count and adds the pairs to the passes list; the reverse is a
+# regression.
+
+RATCHET_SEEDS = (41, 42)
+HARD_CORRUPTION = dict(dropout=0.1, jitter_pos=0.5, jitter_theta=0.05, clutter_frac=0.1)
+# Failures per kind over RATCHET_SEEDS, and the pairs that pass.
+RATCHET_MAX_FAILURES = {"crop": 7, "scene": 3, "corrupt": 0}
+RATCHET_PASSES = {
+    "crop": ["41 scene0", "42 scene0", "42 scene1"],
+    "scene": ["41 scene0.0", "41 scene1.0", "41 scene1.1", "42 scene1.0", "42 scene1.1"],
+    "corrupt": [f"{seed} {k}" for seed in RATCHET_SEEDS for k in range(20)],
+}
+
+
+def _rng(seed, *tags):
+    return np.random.default_rng([seed, *tags])
+
+
+def _sub_seed(seed, *tags):
+    return int(_rng(seed, *tags).integers(0, 2**31 - 1))
+
+
+def _random_scene(rng, count, outline, frame, margin=12.0, gap=16.0):
+    """`count` disks and rectangles, the first a disk, `gap` pixels apart and
+    `margin` from the border, whose outlines sum to `outline` pixels."""
+    for _ in range(1000):
+        disk = [True] + [bool(rng.random() < 0.5) for _ in range(count - 1)]
+        sizes = [(float(rng.uniform(20.0, 60.0)),) if d else
+                 tuple(float(v) for v in rng.uniform(30.0, 160.0, 2)) for d in disk]
+        total = sum(2.0 * math.pi * sz[0] if d else 2.0 * sum(sz) for d, sz in zip(disk, sizes))
+        sizes = [tuple(v * outline / total for v in sz) for sz in sizes]
+        if min(min(sz) for sz in sizes) < 15.0:
+            continue
+        shapes, boxes = [], []
+        for d, sz in zip(disk, sizes):
+            w, h = (2.0 * sz[0], 2.0 * sz[0]) if d else sz
+            if w > frame - 2 * margin or h > frame - 2 * margin:
+                break
+            for _ in range(50):
+                x0 = float(rng.uniform(margin, frame - margin - w))
+                y0 = float(rng.uniform(margin, frame - margin - h))
+                if not any(x0 < b[2] + gap and b[0] < x0 + w + gap
+                           and y0 < b[3] + gap and b[1] < y0 + h + gap for b in boxes):
+                    break
+            else:
+                break
+            boxes.append((x0, y0, x0 + w, y0 + h))
+            level = float(rng.uniform(0.4, 1.0))
+            shapes.append(Disk(cx=x0 + sz[0], cy=y0 + sz[0], r=sz[0], intensity=level)
+                          if d else Rect(x0=x0, y0=y0, w=w, h=h, intensity=level))
+        if len(shapes) == count:
+            return shapes
+    raise ValueError(f"cannot place {count} shapes with a {outline} px outline")
+
+
+def _full_overlap_pair(ref, seed, tag):
+    """A probe frame that shows the whole reference at s in [0.9, 1.15] and
+    a shift of up to 20 px towards negative offsets."""
+    rng = _rng(seed, 4, tag)
+    truth = Transform(s=float(rng.uniform(0.9, 1.15)), tx=float(rng.uniform(-20.0, 0.0)),
+                      ty=float(rng.uniform(-20.0, 0.0)))
+    w = math.ceil((ref.width - truth.tx) / truth.s) + 1
+    h = math.ceil((ref.height - truth.ty) / truth.s) + 1
+    spec = CorruptionSpec(**HARD_CORRUPTION, seed=_sub_seed(seed, 5, tag))
+    return ref, corrupt_and_transform(ref, truth, spec, w, h), truth
+
+
+def _hard_pairs(seed):
+    """{kind: {name: (ref, probe, truth)}} for one seed, as the benchmark's
+    `register` workload builds them."""
+    frame = 512
+    refs = {f"n{n}": random_edge_set(n, frame, frame, seed=_sub_seed(seed, 2, n))
+            for n in (500, 1000, 2000)}
+    for i in range(2):
+        rng = _rng(seed, 3, i)
+        shapes = _random_scene(rng, int(rng.integers(3, 9)), 1450.0, frame)
+        refs[f"scene{i}"] = extract_edges(render_shapes(frame, frame, shapes, background=0.1))
+    out = {"crop": {}, "scene": {}, "corrupt": {}}
+    tag = 40  # the tags after the benchmark's 40 timed pairs
+    for kind, ref in refs.items():
+        tx = float(np.round(_rng(seed, 4, tag).uniform(0.3, 0.5) * frame))
+        truth = Transform(s=1.0, tx=tx, ty=0.0)
+        spec = CorruptionSpec(**HARD_CORRUPTION, seed=_sub_seed(seed, 5, tag))
+        probe = corrupt_and_transform(ref, truth, spec, frame - int(tx), frame)
+        out["crop"][f"{seed} {kind}"] = ref, probe, truth
+        tag += 1
+        if kind.startswith("scene"):
+            for j in range(2):
+                out["scene"][f"{seed} {kind}.{j}"] = _full_overlap_pair(ref, seed, tag)
+                tag += 1
+    for k in range(20):
+        kind = ("n500", "n2000", "n1000", "n2000", "n2000")[k % 5]
+        out["corrupt"][f"{seed} {k}"] = _full_overlap_pair(refs[kind], seed, tag)
+        tag += 1
+    return out
+
+
+def test_criterion_11_hard_pair_ratchet():
+    failures = {"crop": [], "scene": [], "corrupt": []}
+    tried = dict.fromkeys(failures, 0)
+    for seed in RATCHET_SEEDS:
+        for kind, pairs in _hard_pairs(seed).items():
+            for name, (ref, probe, truth) in pairs.items():
+                res = match(ref, probe)
+                tried[kind] += 1
+                if not (res.decided and abs(res.transform.s - truth.s) <= 0.02 * truth.s
+                        and math.hypot(res.transform.tx - truth.tx,
+                                       res.transform.ty - truth.ty) <= 2.0):
+                    failures[kind].append(name)
+    regressed = {k: sorted(set(RATCHET_PASSES[k]) & set(v)) for k, v in failures.items()}
+    ok = (not any(regressed.values())
+          and all(len(v) <= RATCHET_MAX_FAILURES[k] for k, v in failures.items()))
+    report(11, "hard_pair_ratchet", ok, ", ".join(
+        f"{k} {len(v)}/{tried[k]} failed (at most {RATCHET_MAX_FAILURES[k]})"
+        for k, v in failures.items()))
+    assert ok, {"newly failing": regressed, "failing": failures}

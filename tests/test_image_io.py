@@ -2,11 +2,22 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from edgematch import Disk, GrayImage, PgmFormatError, Rect, load_pgm, render_shapes, save_pgm
+from edgematch import (
+    Disk,
+    GrayImage,
+    PgmFormatError,
+    Rect,
+    image_io,
+    load_pgm,
+    render_shapes,
+    save_pgm,
+)
+
+from helpers import oracle_p2_samples
 
 
 def test_p2_parse_with_comments():
@@ -35,13 +46,80 @@ def test_p2_tokenizing(data, samples):
     assert np.array_equal(img.pixels, np.array(samples) / 255.0)
 
 
-def test_p2_and_p5_of_a_scene_agree():
+def test_p2_and_p5_of_a_scene_agree(monkeypatch):
     img = render_shapes(512, 512, [Disk(200.0, 180.0, 90.0, 0.8),
                                    Rect(300.0, 320.0, 150.0, 100.0, 0.45)], background=0.1)
-    from_ascii = load_pgm(save_pgm(img, ascii=True))
+
+    def token_loop(*args):
+        raise AssertionError("a digit-only payload was read token by token")
+
+    # A comment keeps the payload on the bulk path once it is blanked.
+    monkeypatch.setattr(image_io, "_token_samples", token_loop)
+    ascii_pgm = save_pgm(img, ascii=True).replace(b"\n255\n", b"\n255#glued\n", 1)
+    from_ascii = load_pgm(ascii_pgm)
     from_binary = load_pgm(save_pgm(img))
     assert from_ascii.pixels.shape == (512, 512)
     assert np.array_equal(from_ascii.pixels, from_binary.pixels)
+
+
+_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_COMMENT_BODY = st.binary(max_size=6).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b""))
+_COMMENT = st.builds(lambda body, end: b"#" + body + end,
+                     _COMMENT_BODY, st.sampled_from([b"\n", b"\r"]))
+_SEPARATOR = st.lists(st.one_of(_SPACE, _COMMENT), min_size=1, max_size=3).map(b"".join)
+
+
+@st.composite
+def _p2_cases(draw):
+    """(width, height, maxval, payload): n - 1, n or n + 1 digit tokens with
+    leading zeros, up to 25 digits, between separators of whitespace and
+    comments, the first separator right after maxval.  In half the cases one
+    token is near maxval, too long for int64, or a token only int() reads
+    or rejects."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    maxval = draw(st.one_of(st.sampled_from([1, 9, 10, 99, 255, 256, 65535]),
+                            st.integers(1, 65535)))
+    n = w * h
+
+    def digits(values):
+        return st.builds(lambda v, z: str(v).zfill(z).encode(), values, st.integers(0, 25))
+
+    count = draw(st.sampled_from([n - 1, n, n, n + 1]))
+    tokens = draw(st.lists(digits(st.integers(0, maxval)), min_size=count, max_size=count))
+    if tokens and draw(st.booleans()):
+        tokens[draw(st.integers(0, count - 1))] = draw(st.one_of(
+            digits(st.integers(max(maxval - 2, 0), maxval + 2)),
+            digits(st.integers(0, 10**25 - 1)),
+            st.sampled_from([b"+5", b"5+5", b"1_0", b"-0", b"x", b"\xc3\xa9"]),
+        ))
+    payload = draw(_SEPARATOR)
+    for tok in tokens:
+        payload += tok + draw(_SEPARATOR)
+    # The data may end in a comment that no CR or LF closes.
+    end = st.one_of(st.just(b""), _SEPARATOR, _COMMENT_BODY.map(lambda b: b"#" + b))
+    return w, h, maxval, payload + draw(end)
+
+
+@given(_p2_cases())
+@example((3, 1, 255, b"\n5+5 7"))  # a bulk parse would read 5, 5, 7
+@example((2, 1, 255, b"\n1 2 3"))
+@example((2, 1, 255, b"\n1"))
+@example((2, 1, 255, b"\n1 256"))
+@example((1, 1, 9, b" 00000000000000000000000009"))
+@example((1, 1, 255, b" 99999999999999999999999"))
+@example((1, 1, 255, b"\n \t"))
+def test_p2_samples_match_token_oracle(case):
+    w, h, maxval, payload = case
+    data = f"P2\n{w} {h}\n{maxval}".encode() + payload
+    try:
+        samples = oracle_p2_samples(payload, w * h, maxval)
+    except ValueError as want:
+        with pytest.raises(PgmFormatError) as err:
+            load_pgm(data)
+        assert str(err.value) == str(want)
+    else:
+        expected = np.array(samples, dtype=np.float64).reshape(h, w) / float(maxval)
+        assert np.array_equal(load_pgm(data).pixels, expected)
 
 
 def test_p5_8bit_parse():
