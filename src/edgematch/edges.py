@@ -204,21 +204,14 @@ def serialize(es: EdgeSet) -> bytes:
     return (head + rows).encode("ascii")
 
 
-def _parse_float(token: str, what: str, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise EdgeSetFormatError(f"line {lineno}: non-numeric {what} {token!r}") from None
-
-
 def _parse_table(body: list[str]) -> np.ndarray:
     """The (len(body), 6) table of the EDGESET body lines, the flags as 0.0
     and 1.0.
 
     A regular body, six fields a line with each flag 0 or 1, is converted
-    in one pass; any other body is read line by line, to name its first bad
-    field.  The tokens are freed on return, before the caller allocates the
-    set's columns.
+    in one pass; any other body is read line by line only to name its first
+    bad field.  The tokens are freed on return, before the caller allocates
+    the set's columns.
     """
     tokens = [line.split() for line in body]
     if all(len(fields) == 6 and fields[5] in ("0", "1") for fields in tokens):
@@ -227,17 +220,18 @@ def _parse_table(body: list[str]) -> np.ndarray:
                                6 * len(body)).reshape(len(body), 6)
         except ValueError:
             pass
-    rows = []
     for k, fields in enumerate(tokens):
         lineno = k + 3
         if len(fields) != 6:
             raise EdgeSetFormatError(f"line {lineno}: expected 6 fields, got {len(fields)}")
-        row = [_parse_float(t, what, lineno)
-               for t, what in zip(fields, ("x", "y", "theta", "kappa", "confidence"))]
+        for t, what in zip(fields, ("x", "y", "theta", "kappa", "confidence")):
+            try:
+                float(t)
+            except ValueError:
+                raise EdgeSetFormatError(f"line {lineno}: non-numeric {what} {t!r}") from None
         if fields[5] not in ("0", "1"):
             raise EdgeSetFormatError(f"line {lineno}: reliable flag must be 0 or 1")
-        rows.append(row + [fields[5] == "1"])
-    return np.array(rows).reshape(len(body), 6)
+    raise AssertionError("a body the one-pass read refused has a bad line")
 
 
 def parse(data: bytes | str) -> EdgeSet:

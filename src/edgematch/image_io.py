@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -62,47 +63,39 @@ def _header_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _token_int(tok: bytes, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise PgmFormatError(f"non-numeric {what} field {tok!r}") from None
+    """The value of a PGM number, a run of ASCII digits."""
+    if tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise PgmFormatError(f"non-numeric {what} field {tok!r}")
 
 
-def _bulk_samples(payload: bytes, n: int, maxval: int) -> np.ndarray | None:
-    """The n samples of a payload of ASCII digit runs and whitespace, read
-    in one array pass, or None when `_token_samples` must read it: another
-    byte, no digit at all, a count other than n, or a value above maxval
-    (a run too long for int64 reads as INT64_MAX)."""
+def _p2_samples(payload: bytes, n: int, maxval: int) -> np.ndarray:
+    """The n samples of a comment-blanked P2 payload, ASCII digit runs
+    between whitespace, read in one array pass (a run too long for int64
+    reads as INT64_MAX, so it fails the maxval check)."""
     # np.fromstring reads a whitespace-only payload as one 0.
-    if not payload.strip() or payload.translate(None, _DIGITS_AND_SPACE):
-        return None
-    raw = np.fromstring(payload, dtype=np.int64, sep=" ")
-    if len(raw) != n or raw.max() > maxval:
-        return None
-    return raw.astype(np.float64)
+    if payload.strip() and not payload.translate(None, _DIGITS_AND_SPACE):
+        raw = np.fromstring(payload, dtype=np.int64, sep=" ")
+        if len(raw) == n and raw.max() <= maxval:
+            return raw.astype(np.float64)
+    _raise_sample_error(payload, n, maxval)
 
 
-def _token_samples(payload: bytes, n: int, maxval: int) -> np.ndarray:
-    """The n samples of a comment-blanked payload, each token read by int(),
-    or the PgmFormatError of the first bad sample or of a wrong count."""
+def _raise_sample_error(payload: bytes, n: int, maxval: int) -> NoReturn:
+    """Raise the PgmFormatError of a P2 payload that `_p2_samples` refused:
+    its first bad sample among the first n, else its count."""
     tokens = payload.split()
-    samples = tokens[:n]
-    try:
-        raw = np.array(list(map(int, samples)), dtype=np.float64)
-        ok = ((raw >= 0.0) & (raw <= maxval)).all()
-    except (ValueError, OverflowError):  # non-numeric, or too large for a float
-        ok = False
-    if not ok:
-        # A bad sample among the first n outranks a short or long payload.
-        for tok in samples:
-            v = _token_int(tok, "sample")
-            if v < 0 or v > maxval:
-                raise PgmFormatError(f"sample {v} outside [0, {maxval}]")
+    for tok in tokens[:n]:
+        v = _token_int(tok, "sample")
+        if v > maxval:
+            raise PgmFormatError(f"sample {v} outside [0, {maxval}]")
     if len(tokens) < n:
         raise PgmFormatError(f"ASCII payload truncated after {len(tokens)} of {n} samples")
-    if len(tokens) > n:
-        raise PgmFormatError("trailing data after final sample")
-    return raw
+    # The array pass refuses n good samples only when more follow.
+    raise PgmFormatError("trailing data after final sample")
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -111,11 +104,11 @@ def load_pgm(data: bytes) -> GrayImage:
     Accepts '#' comments in the header, maxval up to 65535 (two-byte
     big-endian samples in P5 when maxval > 255), and reports distinct errors
     for bad magic numbers, zero dimensions, a zero maxval, and truncated or
-    oversized payloads.  P2 samples are the whitespace-separated tokens left
-    once each '#' comment (up to CR or LF) is blanked, each read by int().
-    A payload of nothing but ASCII digits and whitespace is decoded in one
-    array pass with the same result; any other payload, and one whose count
-    or values are wrong, is read token by token and keeps its errors.
+    oversized payloads.  Every number, header field or P2 sample, is a run
+    of ASCII digits.  P2 samples are the whitespace-separated tokens left
+    once each '#' comment (up to CR or LF) is blanked, decoded in one array
+    pass; a payload that fails it is read token by token only to name its
+    error.
     """
     data = bytes(data)
     magic, pos = _header_token(data, 0)
@@ -126,11 +119,11 @@ def load_pgm(data: bytes) -> GrayImage:
         tok, pos = _header_token(data, pos)
         fields.append(_token_int(tok, what))
     width, height, maxval = fields
-    if width <= 0 or height <= 0:
+    if width == 0 or height == 0:
         raise PgmFormatError(f"image dimensions must be positive, got {width}x{height}")
     if maxval == 0:
         raise PgmFormatError("maxval must be positive")
-    if maxval < 0 or maxval > 65535:
+    if maxval > 65535:
         raise PgmFormatError(f"maxval {maxval} outside [1, 65535]")
     n = width * height
 
@@ -153,10 +146,7 @@ def load_pgm(data: bytes) -> GrayImage:
         if bad.any():
             raise PgmFormatError(f"sample {int(raw[bad][0])} exceeds maxval {maxval}")
     else:
-        payload = _COMMENT.sub(b" ", data[pos:])
-        raw = _bulk_samples(payload, n, maxval)
-        if raw is None:
-            raw = _token_samples(payload, n, maxval)
+        raw = _p2_samples(_COMMENT.sub(b" ", data[pos:]), n, maxval)
     pixels = (raw / float(maxval)).reshape(height, width)
     return GrayImage(width=width, height=height, pixels=pixels)
 

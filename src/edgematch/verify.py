@@ -20,7 +20,6 @@ them in one call and screens them all in another.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -369,17 +368,20 @@ def _walk_in_lockstep(walks: list[_Walk], probe, hyp_cfg, ver_cfg) -> None:
     live = walks
     while live:
         for w in live:
-            w.taken = list(islice(w.bases, w.group))
+            # islice refuses a stop past sys.maxsize; zip ends with the range,
+            # before it pulls a basis.
+            w.taken = [b for _, b in zip(range(w.group), w.bases)]
         live = [w for w in live if w.taken]
         if not live:
             return
         bases = [b for w in live for b in w.taken]
         c = compatible_pairs(probe, bases, [w.ref for w in live for _ in w.taken], hyp_cfg)
-        # Each walk's couples are contiguous: keep the first budget - branches.
+        # Each walk's couples are contiguous: keep the first budget - branches,
+        # capped in Python ints so that a budget beyond int64 cuts nothing.
         first = np.cumsum([0] + [len(w.taken) for w in live])
         lo = np.searchsorted(c.basis, first[:-1])
         hi = np.minimum(np.searchsorted(c.basis, first[1:]),
-                        lo + [budget - w.branches for w in live])
+                        lo + [min(budget - w.branches, len(c.basis)) for w in live])
         keep = _segment_ranges(lo, hi - lo)
         c = CompatibleCouples(*(v[keep] for v in c))
         owner = np.arange(len(live)).repeat(hi - lo)

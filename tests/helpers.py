@@ -184,7 +184,8 @@ def oracle_monte_carlo_misses(p, m, k, trials, seed, chunk_trials):
 def oracle_p2_samples(payload: bytes, n: int, maxval: int) -> list[int]:
     """The n samples of a P2 payload, read the slow way: each '#' up to the
     next CR or LF becomes one space, the rest splits on whitespace, and each
-    token goes through int() in order.  Raises ValueError with the message
+    token, which must be a run of ASCII digits, goes through int() in order.
+    Raises ValueError with the message
     load_pgm's PgmFormatError must carry: the first bad sample among the
     first n, else a short or long count."""
     blanked = bytearray()
@@ -197,10 +198,9 @@ def oracle_p2_samples(payload: bytes, n: int, maxval: int) -> list[int]:
     tokens = bytes(blanked).split()
     samples = []
     for tok in tokens[:n]:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ValueError(f"non-numeric sample field {tok!r}") from None
+        if not tok.isdigit():
+            raise ValueError(f"non-numeric sample field {tok!r}")
+        v = int(tok)
         if not 0 <= v <= maxval:
             raise ValueError(f"sample {v} outside [0, {maxval}]")
         samples.append(v)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import edgematch
 from edgematch import Disk, parse, random_edge_set, render_shapes, save_pgm, serialize
 from edgematch.cli import main
 
@@ -267,6 +272,32 @@ def test_gallery_search_names_a_model_file_that_does_not_parse(tmp_path, capsys)
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: model 'm2' (models/m2.edgeset): line 5: expected 6 fields, got 3\n")
+
+
+def test_gallery_search_budget_beyond_int64_equals_a_large_budget(tmp_path):
+    root = tmp_path / "gal"
+    for k in range(1, 4):
+        es = write_edgeset(tmp_path / f"m{k}.edgeset", random_edge_set(200, 256, 256, seed=k))
+        assert main(["gallery", "enroll", es, "--root", str(root), "--id", f"m{k}"]) == 0
+    probe = write_edgeset(tmp_path / "probe.edgeset", random_edge_set(30, 256, 256, seed=5))
+
+    def search_args(budget):
+        cfg = tmp_path / f"cfg{budget}.json"
+        cfg.write_text(json.dumps({"verify": {"max_branches": budget}}))
+        return ["gallery", "search", "--root", str(root), "--probe", probe,
+                "--config", str(cfg), "--out", str(tmp_path / f"ranked{budget}.json")]
+
+    assert main(search_args(10**6)) in (0, 1)
+    # In a child process, so that a crash inside numpy fails this test only.
+    src = str(Path(edgematch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "edgematch.cli", *search_args(2**63 - 1)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    ranked = [(tmp_path / f"ranked{b}.json").read_bytes() for b in (10**6, 2**63 - 1)]
+    assert ranked[1] == ranked[0]
 
 
 def test_gallery_duplicate_enroll_fails(tmp_path, capsys):

@@ -36,7 +36,7 @@ def test_p2_parse_with_comments():
         (b"P2\n2 1\n255\n12#c\n34#c", [[12, 34]]),  # samples glued to comments
         (b"P2\n2 1\n255#c\n7 8", [[7, 8]]),  # maxval glued to a comment
         (b"P2\n2 1\n255\n#c#c\n# \n5\n#\n6", [[5, 6]]),  # comments on their own lines
-        (b"P2\n2 1\n255\n+5 1_0\n", [[5, 10]]),  # read by int()
+        (b"P2\n2 1\n255\n007 0255\n", [[7, 255]]),  # leading zeros
         (b"P2\n3 1\n255\n1\x0c2\x0b3", [[1, 2, 3]]),  # form feed and vertical tab
     ],
 )
@@ -50,11 +50,11 @@ def test_p2_and_p5_of_a_scene_agree(monkeypatch):
     img = render_shapes(512, 512, [Disk(200.0, 180.0, 90.0, 0.8),
                                    Rect(300.0, 320.0, 150.0, 100.0, 0.45)], background=0.1)
 
-    def token_loop(*args):
-        raise AssertionError("a digit-only payload was read token by token")
+    def refused(*args):
+        raise AssertionError("a digit-only payload was refused by the array pass")
 
-    # A comment keeps the payload on the bulk path once it is blanked.
-    monkeypatch.setattr(image_io, "_token_samples", token_loop)
+    # A comment keeps the payload in the array pass once it is blanked.
+    monkeypatch.setattr(image_io, "_raise_sample_error", refused)
     ascii_pgm = save_pgm(img, ascii=True).replace(b"\n255\n", b"\n255#glued\n", 1)
     from_ascii = load_pgm(ascii_pgm)
     from_binary = load_pgm(save_pgm(img))
@@ -74,8 +74,8 @@ def _p2_cases(draw):
     """(width, height, maxval, payload): n - 1, n or n + 1 digit tokens with
     leading zeros, up to 25 digits, between separators of whitespace and
     comments, the first separator right after maxval.  In half the cases one
-    token is near maxval, too long for int64, or a token only int() reads
-    or rejects."""
+    token is near maxval, too long for int64, or not a digit run: one that
+    int() would read (+5, 1_0, -0) or not (5+5, x, a non-ASCII letter)."""
     w, h = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     maxval = draw(st.one_of(st.sampled_from([1, 9, 10, 99, 255, 256, 65535]),
                             st.integers(1, 65535)))
@@ -102,6 +102,7 @@ def _p2_cases(draw):
 
 @given(_p2_cases())
 @example((3, 1, 255, b"\n5+5 7"))  # a bulk parse would read 5, 5, 7
+@example((2, 1, 255, b"\n+5 6"))  # a bulk parse would read 5, 6
 @example((2, 1, 255, b"\n1 2 3"))
 @example((2, 1, 255, b"\n1"))
 @example((2, 1, 255, b"\n1 256"))
@@ -212,6 +213,12 @@ def test_quantization_rounds_half_up():
         (b"P2\n1 1\n255\n300\n", "outside"),
         (b"P2\n1 1\n255\n0 7\n", "trailing"),
         (b"P2\nx 1\n255\n0\n", "non-numeric"),
+        # Every number is a run of ASCII digits, with no sign or underscore.
+        (b"P2\n+3 1\n255\n0 0 0\n", "non-numeric width field b'+3'"),
+        (b"P5\n2 -1\n255\n" + bytes([1, 2]), "non-numeric height field b'-1'"),
+        (b"P2\n1 1\n2_55\n0\n", "non-numeric maxval field b'2_55'"),
+        (b"P2\n2 1\n255\n+5 1_0\n", "non-numeric sample field b'+5'"),
+        (b"P2\n2 1\n255\n1 -0\n", "non-numeric sample field b'-0'"),
         (b"P5\n2 1\n255\n" + bytes([1]), "truncated"),
         (b"P5\n2 1\n255\n" + bytes([1, 2, 3]), "trailing"),
         (b"P5\n2 1\n255", "whitespace"),

@@ -446,6 +446,21 @@ def test_match_honors_max_branches():
     assert res.branches_tried <= 7
 
 
+@pytest.mark.parametrize("accept", [True, False])
+def test_match_budget_beyond_int64_equals_a_large_budget(accept):
+    ref = random_edge_set(200, 256, 256, seed=70)
+    if accept:
+        probe = corrupt_and_transform(ref, Transform(s=1.1, tx=3.0, ty=2.0),
+                                      CorruptionSpec(dropout=0.1, seed=71), 256, 256)
+    else:
+        probe = random_edge_set(200, 256, 256, seed=80)
+    large, huge = (match(ref, probe, ver_cfg=VerifyConfig(max_branches=b)).to_json_dict()
+                   for b in (10**6, 10**30))
+    # The reject runs out of bases after 854 branches, many rounds in.
+    assert (large["decided"], large["branches_tried"]) == ((True, 1) if accept else (False, 854))
+    assert huge == large
+
+
 def test_default_screen_prunes_heavy_top_dropout_but_config_rescues():
     """Missing the six most confident reference edges kills every branch at
     the default miss penalty; lowering the prune floor admits the branch and
