@@ -209,3 +209,30 @@ def oracle_p2_samples(payload: bytes, n: int, maxval: int) -> list[int]:
     if len(tokens) > n:
         raise ValueError("trailing data after final sample")
     return samples
+
+
+def oracle_spectral_gradient(img, sigma):
+    """(gx, gy, fxx, fxy, fyy) of the spectral derivatives, one inverse
+    transform per field: the image spectrum, smoothed by
+    exp(-sigma^2 (u^2 + v^2) / 2), times i*u, i*v, -u*u, -u*v and -v*v, with
+    u = 2*pi*fftfreq(width) (and v likewise) and the Nyquist bin of the
+    differentiation frequencies zeroed.  Each field is the real part of its
+    inverse, and the imaginary part dropped must be at most 1e-9 of the
+    image norm."""
+    f = img.pixels
+    h, w = f.shape
+    u = TWO_PI * np.fft.fftfreq(w)[np.newaxis, :]
+    v = TWO_PI * np.fft.fftfreq(h)[:, np.newaxis]
+    spectrum = np.fft.fft2(f) * np.exp(-0.5 * sigma * sigma * (u * u + v * v))
+    if w % 2 == 0:
+        u = u.copy()
+        u[0, w // 2] = 0.0
+    if h % 2 == 0:
+        v = v.copy()
+        v[h // 2, 0] = 0.0
+    fields = []
+    for mult in (1j * u, 1j * v, -(u * u), -(u * v), -(v * v)):
+        out = np.fft.ifft2(mult * spectrum)
+        assert np.linalg.norm(out.imag) <= 1e-9 * np.linalg.norm(f)
+        fields.append(out.real)
+    return tuple(fields)

@@ -50,6 +50,22 @@ def test_extract_is_byte_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_extract_rejects_a_sigma_whose_square_overflows(tmp_path, capsys):
+    # sigma * sigma was inf, the smoothing NaN at the DC bin, and the
+    # extract wrote an empty edge set with exit code 0.
+    img = render_shapes(64, 64, (Disk(cx=32.0, cy=32.0, r=16.0, intensity=1.0),))
+    pgm = tmp_path / "disk.pgm"
+    pgm.write_bytes(save_pgm(img))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"extract": {"sigma": 1e200}}))
+    out = tmp_path / "disk.edgeset"
+    assert main(["extract", str(pgm), "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sigma" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- match
 
 

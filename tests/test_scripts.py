@@ -3,6 +3,7 @@ change to the library API cannot leave them broken."""
 
 import csv
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -48,3 +49,10 @@ def test_disk_pipeline_demo(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
     result = MatchResult.from_json_dict(json.loads((tmp_path / "result.json").read_text()))
     assert result.decided
+
+
+def test_failure_table_one_seed(capsys):
+    assert run_script("failure_table.py", ["--seeds", "41"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^\| defaults \| \d/5 \| \d/4 \| \d+/20 \| \d+/40 \(0\.\d{3}\) \|$",
+                     out, re.MULTILINE), out

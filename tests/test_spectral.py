@@ -18,7 +18,7 @@ from edgematch import (
 )
 from edgematch.edges import TWO_PI
 
-from helpers import angular_distance
+from helpers import angular_distance, oracle_spectral_gradient
 
 HALF_PI = 0.5 * math.pi
 
@@ -92,6 +92,34 @@ def test_gradient_rejects_tiny_images_and_bad_sigma():
         spectral_gradient(GrayImage.from_array(np.zeros((8, 3))), sigma=1.0)
     with pytest.raises(ValueError):
         spectral_gradient(GrayImage.from_array(np.zeros((8, 8))), sigma=-1.0)
+    # 1e200 squared is inf, and inf * 0 at the DC bin made every field NaN.
+    for bad in (math.nan, math.inf, 1e200):
+        with pytest.raises(ValueError):
+            spectral_gradient(GrayImage.from_array(np.zeros((8, 8))), sigma=bad)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("height, width", [(4, 4), (5, 7), (6, 9), (64, 48)])
+def test_gradient_fields_equal_one_inverse_per_field(height, width, sigma):
+    pixels = np.random.default_rng([height, width]).random((height, width))
+    img = GrayImage.from_array(pixels)
+    field = spectral_gradient(img, sigma)
+    got = (field.gx, field.gy, field.fxx, field.fxy, field.fyy)
+    bound = 1e-12 * np.linalg.norm(pixels)
+    for name, a, b in zip(("gx", "gy", "fxx", "fxy", "fyy"), got,
+                          oracle_spectral_gradient(img, sigma)):
+        assert np.abs(a - b).max() <= bound, name
+
+
+def test_gradient_takes_one_forward_and_three_inverse_transforms(monkeypatch):
+    calls = {"fft2": 0, "ifft2": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    spectral_gradient(sinusoid_row(), sigma=1.0)
+    assert calls == {"fft2": 1, "ifft2": 3}
 
 
 def test_curvature_magnitude_is_inverse_radius_on_disk():
